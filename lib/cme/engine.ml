@@ -113,6 +113,16 @@ let shared_residue_size = Shared_residues.length
 
 type outcome = Hit | Compulsory_miss | Replacement_miss
 
+(* Per-nest constants of the latest-source search (see [latest_source]). *)
+type latest = {
+  collapse : bool array;
+      (* dims that move neither an address nor a deeper bound *)
+  rem_lo : int array array;
+  rem_hi : int array array;
+      (* [rem_lo.(b).(l)], [rem_hi.(b).(l)]: extreme contribution of dims
+         [>= l] to reference [b]'s address over the static hull *)
+}
+
 type t = {
   nest : Nest.t;
   cache : Tiling_cache.Config.t;
@@ -121,9 +131,10 @@ type t = {
   modulus : int;  (* sets * line: addresses congruent mod this share a set *)
   tile_pairs : (int * int * int * int) array;
       (* (elem dim, ctrl dim, lower bound, tile) for every tiled loop pair *)
-  affine : bool;
-      (* any affine-bounded loop: reuse sources come from the exact
-         latest-source search; rectangular nests keep the vector path *)
+  latest : latest option;
+      (* [Some] iff some loop has affine bounds: reuse sources then come
+         from the exact latest-source search; rectangular nests keep the
+         vector path *)
   memo : ((int * int) list, Residue_set.t) Hashtbl.t;
   window_cap : int;
   mutable fallbacks : int;
@@ -143,6 +154,37 @@ let tile_pairs_of nest =
     nest.Nest.loops;
   Array.of_list !pairs
 
+let latest_of nest forms =
+  let d = Nest.depth nest in
+  let nrefs = Array.length forms in
+  let slo, shi = Nest.static_bounds nest in
+  let deps = Nest.affine_deps nest in
+  let collapse =
+    Array.init d (fun l ->
+        let influences =
+          (* value changes some deeper bound: affine dependence or tile
+             window *)
+          deps.(l)
+          ||
+          match nest.Nest.loops.(l).Nest.shape with
+          | Nest.Tile_ctrl _ -> true
+          | _ -> false
+        in
+        let addr_relevant = Array.exists (fun f -> Affine.coeff f l <> 0) forms in
+        (not influences) && not addr_relevant)
+  in
+  let rem_lo = Array.make_matrix nrefs (d + 1) 0 in
+  let rem_hi = Array.make_matrix nrefs (d + 1) 0 in
+  for b = 0 to nrefs - 1 do
+    for l = d - 1 downto 0 do
+      let c = Affine.coeff forms.(b) l in
+      let x = c * slo.(l) and y = c * shi.(l) in
+      rem_lo.(b).(l) <- rem_lo.(b).(l + 1) + min x y;
+      rem_hi.(b).(l) <- rem_hi.(b).(l + 1) + max x y
+    done
+  done;
+  { collapse; rem_lo; rem_hi }
+
 let create ?(window_cap = 512) nest cache =
   Tiling_obs.Span.with_ "cme.engine.create"
     ~attrs:
@@ -153,14 +195,16 @@ let create ?(window_cap = 512) nest cache =
     (fun () ->
       Metrics.incr m_engines;
       let line = cache.Tiling_cache.Config.line in
+      let forms = Array.map (fun r -> Nest.address_form nest r) nest.Nest.refs in
       {
         nest;
         cache;
-        forms = Array.map (fun r -> Nest.address_form nest r) nest.Nest.refs;
+        forms;
         reuse = Tiling_reuse.Vectors.of_nest nest ~line;
         modulus = cache.Tiling_cache.Config.sets * line;
         tile_pairs = tile_pairs_of nest;
-        affine = Nest.has_affine nest;
+        latest =
+          (if Nest.has_affine nest then Some (latest_of nest forms) else None);
         memo = Hashtbl.create 256;
         window_cap;
         fallbacks = 0;
@@ -541,45 +585,22 @@ let exec_pred nest point =
 
    Dimensions that influence neither any address nor any deeper bound are
    collapsed to one representative value per subtree, since all their
-   values are equivalent.  The search is budgeted; exhaustion counts a
-   fallback and conservatively reports no source. *)
+   values are equivalent.  These flags and the pruning bounds depend on the
+   nest alone, so [create] computes them once ([latest_of]).  The search
+   is budgeted; exhaustion counts a fallback and conservatively reports no
+   source. *)
 
 exception Found_src of int array * int
 exception Budget
 
-let latest_source t ~dst ~line_a =
+let latest_source t lat ~dst ~line_a =
   let nest = t.nest in
   let d = Nest.depth nest in
   let l_bytes = t.cache.Tiling_cache.Config.line in
   let lo_addr = line_a * l_bytes in
   let hi_addr = lo_addr + l_bytes - 1 in
   let nrefs = Array.length t.forms in
-  let slo, shi = Nest.static_bounds nest in
-  let deps = Nest.affine_deps nest in
-  let influences =
-    (* value changes some deeper bound: affine dependence or tile window *)
-    Array.init d (fun l ->
-        deps.(l)
-        ||
-        match nest.Nest.loops.(l).Nest.shape with
-        | Nest.Tile_ctrl _ -> true
-        | _ -> false)
-  in
-  let addr_relevant =
-    Array.init d (fun l -> Array.exists (fun f -> Affine.coeff f l <> 0) t.forms)
-  in
-  (* Extreme contribution of dims [>= l] to each form over the static hull,
-     for pruning partial assignments. *)
-  let rem_lo = Array.make_matrix nrefs (d + 1) 0 in
-  let rem_hi = Array.make_matrix nrefs (d + 1) 0 in
-  for b = 0 to nrefs - 1 do
-    for l = d - 1 downto 0 do
-      let c = Affine.coeff t.forms.(b) l in
-      let x = c * slo.(l) and y = c * shi.(l) in
-      rem_lo.(b).(l) <- rem_lo.(b).(l + 1) + min x y;
-      rem_hi.(b).(l) <- rem_hi.(b).(l + 1) + max x y
-    done
-  done;
+  let { collapse; rem_lo; rem_hi } = lat in
   let partial = Array.init nrefs (fun b -> t.forms.(b).Affine.const) in
   let feasible l =
     let ok = ref false in
@@ -599,11 +620,11 @@ let latest_source t ~dst ~line_a =
     if !budget <= 0 then raise Budget;
     if l = d then begin
       (* A tight leaf is [dst] itself; same-point earlier references are
-         covered by the predecessor probe in [reuse_sources]. *)
+         covered by the predecessor probe in [scan_sources]. *)
       if not tight then
         for b = nrefs - 1 downto 0 do
           if partial.(b) >= lo_addr && partial.(b) <= hi_addr then
-            raise (Found_src (Array.copy src, b))
+            raise (Found_src (src, b))
         done
     end
     else begin
@@ -611,7 +632,6 @@ let latest_source t ~dst ~line_a =
       if hi >= lo then begin
         let top = lo + ((hi - lo) / step * step) in
         let start = if tight then min top dst.(l) else top in
-        let collapse = (not influences.(l)) && not addr_relevant.(l) in
         let v = ref start in
         let continue_ = ref true in
         while !continue_ && !v >= lo do
@@ -626,7 +646,8 @@ let latest_source t ~dst ~line_a =
           done;
           (* A collapsed dimension needs at most one tight and one
              non-tight representative. *)
-          if collapse && not tight' then continue_ := false else v := !v - step
+          if collapse.(l) && not tight' then continue_ := false
+          else v := !v - step
         done
       end
     end
@@ -639,40 +660,20 @@ let latest_source t ~dst ~line_a =
       Metrics.incr m_fallbacks;
       None
 
-let reuse_sources t point ref_id =
-  let cfg = t.cache in
-  let l_bytes = cfg.Tiling_cache.Config.line in
-  let addr = Affine.eval t.forms.(ref_id) point in
-  let line_a = Intmath.floor_div addr l_bytes in
+(* Memory line of reference [ref_id]'s access at [point]. *)
+let line_of t point ref_id =
+  Intmath.floor_div (Affine.eval t.forms.(ref_id) point)
+    t.cache.Tiling_cache.Config.line
+
+(* The static reuse vectors' sources (rectangular nests), in vector order:
+   [point - delta] with tile-control coordinates re-derived, kept if it is
+   an earlier iteration point whose access is on the destination's line,
+   then normalised to the latest realisation.  Each kept source is offered
+   in one array that the next vector overwrites. *)
+let vector_sources t point ref_id ~line_a offer =
   let d = Nest.depth t.nest in
-  (* Universal nearest candidates: every reference at the execution
-     predecessor (and, for later references of the same iteration, at the
-     point itself).  This catches same-line reuse that no static vector
-     expresses, e.g. a streaming sweep whose line wraps across several
-     layout dimensions at once. *)
-  let pred_sources =
-    let at_point p limit =
-      List.filter_map
-        (fun b ->
-          if Intmath.floor_div (Affine.eval t.forms.(b) p) l_bytes = line_a
-          then Some (Array.copy p, b)
-          else None)
-        (List.init limit Fun.id)
-    in
-    at_point point ref_id
-    @ (match exec_pred t.nest point with
-      | Some p -> at_point p (Array.length t.forms)
-      | None -> [])
-  in
-  if t.affine then
-    pred_sources
-    @ (match latest_source t ~dst:point ~line_a with
-      | Some (p, b) -> [ (p, b) ]
-      | None -> [])
-  else
   let src = Array.make d 0 in
-  pred_sources
-  @ List.filter_map
+  List.exists
     (fun (v : Tiling_reuse.Vectors.t) ->
       for l = 0 to d - 1 do
         src.(l) <- point.(l) - v.delta.(l)
@@ -683,12 +684,11 @@ let reuse_sources t point ref_id =
           src.(ctrl) <- lo + (Intmath.floor_div (src.(e) - lo) tile * tile))
         t.tile_pairs;
       let zero_delta = Array.for_all (fun k -> k = 0) v.delta in
-      if not (Nest.mem_point t.nest src) then None
-      else if (not zero_delta) && Nest.lex_compare src point >= 0 then None
+      if not (Nest.mem_point t.nest src) then false
+      else if (not zero_delta) && Nest.lex_compare src point >= 0 then false
       else begin
         let src_ref = match v.leader with Some b -> b | None -> ref_id in
-        let src_addr = Affine.eval t.forms.(src_ref) src in
-        if Intmath.floor_div src_addr l_bytes <> line_a then None
+        if line_of t src src_ref <> line_a then false
         else begin
           let first_diff =
             let rec go l = if l = d || src.(l) <> point.(l) then l else go (l + 1) in
@@ -697,32 +697,69 @@ let reuse_sources t point ref_id =
           if first_diff < d then
             normalise_source t ~src_form:t.forms.(src_ref) ~line_a src
               ~dest:point ~first_nz:first_diff;
-          Some (Array.copy src, src_ref)
+          offer src src_ref
         end
       end)
     t.reuse.(ref_id)
 
+(* ------------------------------------------------------------------ *)
+(* The reuse-source scan.  Same-line sources are offered to [accept]
+   nearest first: earlier references at the point and every reference at
+   the execution predecessor — these catch same-line reuse that no static
+   vector expresses, e.g. a streaming sweep whose line wraps across
+   several layout dimensions at once — then the latest-source search's
+   answer (affine nests) or the vector sources (rectangular nests).  The
+   access hits iff some source's path is interference-free, so the scan
+   stops at the first source [accept] takes and builds nothing after it.
+   [accept] may be handed reused arrays and must copy any it keeps. *)
+
+let scan_sources t point ref_id ~line_a accept =
+  let seen = ref false in
+  let offer src b =
+    seen := true;
+    accept src b
+  in
+  (* References [b, limit) at [p] whose access is on the line. *)
+  let rec at_point p b limit =
+    b < limit
+    && ((line_of t p b = line_a && offer p b) || at_point p (b + 1) limit)
+  in
+  let accepted =
+    at_point point 0 ref_id
+    || (match exec_pred t.nest point with
+       | Some p -> at_point p 0 (Array.length t.forms)
+       | None -> false)
+    ||
+    match t.latest with
+    | Some lat -> (
+        match latest_source t lat ~dst:point ~line_a with
+        | Some (p, b) -> offer p b
+        | None -> false)
+    | None -> vector_sources t point ref_id ~line_a offer
+  in
+  if accepted then Hit else if !seen then Replacement_miss else Compulsory_miss
+
+let reuse_sources t point ref_id =
+  let sources = ref [] in
+  ignore
+    (scan_sources t point ref_id ~line_a:(line_of t point ref_id)
+       (fun src b ->
+         sources := (Array.copy src, b) :: !sources;
+         false));
+  List.rev !sources
+
 let classify t point ref_id =
   let cfg = t.cache in
-  let l_bytes = cfg.Tiling_cache.Config.line in
   let sets = cfg.Tiling_cache.Config.sets in
   let assoc = cfg.Tiling_cache.Config.assoc in
-  let addr = Affine.eval t.forms.(ref_id) point in
-  let line_a = Intmath.floor_div addr l_bytes in
+  let line_a = line_of t point ref_id in
   let set = Intmath.pos_mod line_a sets in
-  let sources = reuse_sources t point ref_id in
   let outcome =
-    if sources = [] then Compulsory_miss
-    else if
-      List.exists
-        (fun (src, src_ref) ->
-          let segments =
-            segments_for_path t ~src ~src_ref ~dst:point ~dst_ref:ref_id
-          in
-          count_interfering t ~set ~line_a ~cap:assoc segments < assoc)
-        sources
-    then Hit
-    else Replacement_miss
+    scan_sources t point ref_id ~line_a (fun src src_ref ->
+        let segments =
+          segments_for_path t ~src ~src_ref ~dst:point ~dst_ref:ref_id
+        in
+        count_interfering t ~set ~line_a ~cap:assoc segments < assoc)
   in
   (match outcome with
   | Hit -> Metrics.incr m_hit

@@ -3,18 +3,25 @@
     [classify] decides, for one iteration point and one reference, whether
     the access hits or misses, and classifies the miss:
 
-    - for every reuse vector of the reference, the potential source access
-      is [point - delta]; the *compulsory equations* correspond to the
-      source falling outside the iteration space (or on a different memory
-      line, for spatial reuse);
-    - the *replacement equations* correspond to some access between source
-      and destination mapping to the same cache set with a different memory
-      line; in a k-way cache, [k] distinct such lines are needed (§2.2).
+    - each *reuse source* is an earlier access to the destination's memory
+      line; the *compulsory equations* correspond to there being none;
+    - the *replacement equations* of a source correspond to some access
+      between source and destination mapping to the same cache set with a
+      different memory line; in a k-way cache, [k] distinct such lines are
+      needed (§2.2).
 
-    The access hits iff at least one reuse vector has an in-space, same-line
-    source with fewer than [assoc] distinct interfering lines on its path
-    (i.e. the point solves none of that vector's equations); it is a
-    compulsory miss iff no reuse vector has a same-line in-space source.
+    The access is a miss iff it solves the replacement equations of every
+    source, so it hits iff some source has fewer than [assoc] distinct
+    interfering lines on its path; it is a compulsory miss iff it has no
+    source at all.
+
+    Sources are scanned in a fixed order, nearest candidates first:
+    earlier references at the point itself, then every reference at the
+    execution predecessor, then the latest-source search's answer (nests
+    with affine bounds) or the normalised sources of the static reuse
+    vectors, in vector order (rectangular nests).  The scan stops at the
+    first interference-free source: that source decides the hit, so later
+    candidates are neither built nor searched for.
 
     Replacement queries are answered analytically: the image of a
     reference's address function over a path box is a small set of
@@ -22,8 +29,9 @@
     computed once per generator signature (memoised) and probed against the
     window of the destination's cache set, and distinct interfering lines
     are identified by exact interval queries with gcd/denseness shortcuts.
-    Queries that exceed the window/recursion budget fall back to a
-    conservative answer and are counted in {!fallback_count}. *)
+    Queries that exceed the window/recursion budget, and latest-source
+    searches that exhaust theirs, fall back to a conservative answer and
+    are counted in {!fallback_count}. *)
 
 type outcome = Hit | Compulsory_miss | Replacement_miss
 
@@ -47,21 +55,32 @@ val reuse_vectors : t -> Tiling_reuse.Vectors.t list array
 
 val classify : t -> int array -> int -> outcome
 (** [classify t point ref_id] decides the outcome of reference [ref_id] at
-    [point].  [point] must be an iteration point of the nest. *)
+    [point] by scanning its reuse sources in the order of the module
+    comment: [Hit] at the first source whose path is interference-free,
+    [Replacement_miss] if every source was tested and none was, and
+    [Compulsory_miss] if there was no source.  [point] must be an
+    iteration point of the nest. *)
 
 val reuse_sources : t -> int array -> int -> (int array * int) list
-(** [reuse_sources t point ref_id] lists the valid same-line reuse sources
-    of the access — each an earlier (point, reference) pair, already
-    normalised to the latest realisation (see the module comment).  Besides
-    the static reuse vectors, earlier same-iteration references and every
-    reference of the execution predecessor are always considered, which
-    captures streaming reuse whose memory line wraps across several layout
-    dimensions between consecutive iterations.  Empty means the access is a
-    compulsory miss; the access hits iff at least one source's path is
-    interference-free.  Exposed for the symbolic solver and for tests. *)
+(** [reuse_sources t point ref_id] lists every same-line reuse source of
+    the access in scan order — each an earlier (point, reference) pair,
+    vector sources normalised to the latest realisation: earlier references
+    at the point, then the execution predecessor's references (which
+    capture streaming reuse whose memory line wraps across several layout
+    dimensions between consecutive iterations), then the latest-source
+    search's answer (affine nests) or the reuse vectors' sources
+    (rectangular nests).  It is {!classify}'s scan run to the end without
+    testing interference.  Empty means the access is a compulsory miss; the
+    access hits iff at least one source's path is interference-free.
+    Exposed for the symbolic solver and for tests. *)
 
 val fallback_count : t -> int
-(** Number of replacement queries answered conservatively so far. *)
+(** Number of conservative answers consulted so far: saturated window
+    enumerations and exhausted interval queries on the paths {!classify}
+    tested, and latest-source searches that ran out of budget (reported as
+    no source).  Since the scan stops at the first hit, a search the scan
+    never reaches runs no risk of exhausting its budget, and a path it
+    never tests costs no fallback. *)
 
 val memo_size : t -> int
 (** Number of distinct residue images in this engine's private table

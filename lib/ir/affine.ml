@@ -12,10 +12,15 @@ let make ~const coeffs = { const; coeffs }
 
 let depth t = Array.length t.coeffs
 
+(* A plain loop: the solver's most frequent call, and a closure over the
+   accumulator would box it on every evaluation. *)
 let eval t point =
   assert (Array.length point = depth t);
   let acc = ref t.const in
-  Array.iteri (fun l c -> if c <> 0 then acc := !acc + (c * point.(l))) t.coeffs;
+  for l = 0 to Array.length t.coeffs - 1 do
+    let c = t.coeffs.(l) in
+    if c <> 0 then acc := !acc + (c * point.(l))
+  done;
   !acc
 
 let add a b =

@@ -296,3 +296,75 @@ let suite =
       Alcotest.test_case "shared residues eviction-correct" `Quick
         test_shared_residues_eviction_correct;
     ]
+
+(* --- latest-source exactness on affine nests ------------------------- *)
+
+(* The reuse source a brute-force walk back through execution order finds
+   for reference [r] at the [i]-th point: the latest earlier point holding
+   an access on the same memory line, and its last such reference. *)
+let walk_back forms points ~line i r =
+  let line_of p b = Tiling_util.Intmath.floor_div (Affine.eval forms.(b) p) line in
+  let line_a = line_of points.(i) r in
+  let last = Array.length forms - 1 in
+  let rec at j b =
+    if j < 0 then None
+    else if b < 0 then at (j - 1) last
+    else if line_of points.(j) b = line_a then Some (points.(j), b)
+    else at j (b - 1)
+  in
+  at (i - 1) last
+
+let show_point p = String.concat "," (Array.to_list (Array.map string_of_int p))
+
+let check_latest_sources nest cache =
+  let engine = Tiling_cme.Engine.create nest cache in
+  let forms = Array.map (Nest.address_form nest) nest.Nest.refs in
+  let points = ref [] in
+  Nest.iter_points nest (fun p -> points := Array.copy p :: !points);
+  let points = Array.of_list (List.rev !points) in
+  let line = cache.Tiling_cache.Config.line in
+  Array.iteri
+    (fun i p ->
+      Array.iteri
+        (fun r _ ->
+          let sources = Tiling_cme.Engine.reuse_sources engine p r in
+          match walk_back forms points ~line i r with
+          | Some (q, b) -> (
+              match List.rev sources with
+              | (src, src_ref) :: _ when src = q && src_ref = b -> ()
+              | _ ->
+                  Alcotest.failf
+                    "%s: ref %d at (%s): the latest same-line access (ref %d \
+                     at (%s)) is not the last source"
+                    nest.Nest.name r (show_point p) b (show_point q))
+          | None ->
+              List.iter
+                (fun (src, _) ->
+                  if Nest.lex_compare src p < 0 then
+                    Alcotest.failf
+                      "%s: ref %d at (%s): source at (%s), but no earlier \
+                       point touches the line"
+                      nest.Nest.name r (show_point p) (show_point src))
+                sources)
+        nest.Nest.refs)
+    points
+
+let test_latest_source_exact () =
+  let dm512 = Tiling_cache.Config.make ~size:512 ~line:32 () in
+  let two_way = Tiling_cache.Config.make ~size:1024 ~line:32 ~assoc:2 () in
+  List.iter
+    (fun build ->
+      let nest = build 8 in
+      List.iter
+        (fun nest ->
+          check_latest_sources nest dm512;
+          check_latest_sources nest two_way)
+        [ nest; Transform.tile nest [| 3; 5; 3 |] ])
+    Tiling_kernels.Kernels.[ lu; cholesky; syrk ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "latest source = brute-force walk (affine)" `Quick
+        test_latest_source_exact;
+    ]

@@ -168,3 +168,25 @@ let suite =
       Alcotest.test_case "interference monotone in path" `Quick
         test_interference_monotone_in_path;
     ]
+
+(* Accesses the early exit decides: SOR's six references give most of its
+   accesses several same-line sources, so the scan usually stops before
+   the last one; the tiled MM adds seam and ragged-tile vector sources. *)
+let test_early_exit_agreement () =
+  let c2 = Tiling_cache.Config.make ~size:256 ~line:32 ~assoc:2 () in
+  let sor = Tiling_kernels.Kernels.sor 8 in
+  let mm = Transform.tile (Tiling_kernels.Kernels.mm 6) [| 4; 3; 5 |] in
+  List.iter
+    (fun (name, nest, cache, expected) ->
+      let mism, total = agree_on nest cache in
+      Alcotest.(check int) (name ^ ": accesses compared") expected total;
+      Alcotest.(check int) (Printf.sprintf "%s: 0 of %d disagree" name total) 0 mism)
+    [
+      ("SOR 8, direct-mapped", sor, small_cache, 216);
+      ("SOR 8, 2-way", sor, c2, 216);
+      ("MM 6 tiled 4x3x5", mm, small_cache, 864);
+    ]
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "early-exit agreement" `Slow test_early_exit_agreement ]
