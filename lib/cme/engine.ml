@@ -276,19 +276,20 @@ let residues t gens =
    dense set costs only the exact fallback query, never correctness.    *)
 
 let dense_and_gcd gens =
-  let sorted = List.sort (fun (a, _) (b, _) -> compare (abs a) (abs b)) gens in
-  List.fold_left
-    (fun (dense, g, span) (step, count) ->
-      let s = abs step in
-      let g' = Intmath.gcd g s in
-      let ok =
-        g = 0
-        ||
-        let period = g / g' in
-        count >= period && period * s <= span + g
-      in
-      ((dense && ok), g', span + (s * (count - 1))))
-    (true, 0, 0) sorted
+  let rec go dense g span = function
+    | [] -> (dense, g)
+    | (step, count) :: rest ->
+        let s = abs step in
+        let g' = Intmath.gcd g s in
+        let ok =
+          g = 0
+          ||
+          let period = g / g' in
+          count >= period && period * s <= span + g
+        in
+        go (dense && ok) g' (span + (s * (count - 1))) rest
+  in
+  go true 0 0 (List.sort (fun (a, _) (b, _) -> compare (abs a) (abs b)) gens)
 
 (* Does a value congruent to [c] modulo [g] exist in [a, b]?  [g = 0]
    degenerates to the single value [c]. *)
@@ -305,7 +306,7 @@ let rec hits_interval ~fuel const gens a b =
   if mx < a || mn > b then (false, true)
   else if mn >= a && mx <= b then (true, true)
   else
-    let dense, g, _ = dense_and_gcd gens in
+    let dense, g = dense_and_gcd gens in
     if dense then (lattice_hits ~c:const ~g (max a mn) (min b mx), true)
     else if !fuel <= 0 then (lattice_hits ~c:const ~g (max a mn) (min b mx), false)
     else begin
@@ -345,11 +346,37 @@ let rec hits_interval ~fuel const gens a b =
    endpoint access): a constant plus generators. *)
 type segment = { const : int; gens : (int * int) list }
 
+(* Windows [[base + m*modulus, base + m*modulus + line)] holding a point
+   of a sparse lattice.  The lattice is [{mn + g*j : 0 <= j <= (mx - mn) /
+   g}] with [g > line], so a window holds at most one point and the
+   points' windows come in increasing order.  [take] is offered each such window index except [m0], and the
+   walk stops once it answers [false]: [Intmath.next_window_hit] jumps from
+   one hitting point to the next, so no empty window is visited. *)
+let lattice_windows ~base ~modulus ~line ~mn ~mx ~g ~m0 take =
+  let a = mn - base in
+  let last = (mx - mn) / g in
+  let j = ref 0 in
+  while !j <= last do
+    match Intmath.next_window_hit ~a ~g ~m:modulus ~len:line !j with
+    | Some hit when hit <= last ->
+        let m = Intmath.floor_div (a + (g * hit)) modulus in
+        j := if m = m0 || take m then hit + 1 else last + 1
+    | Some _ | None -> j := last + 1
+  done
+
 (* Count distinct memory lines, different from [line_a], mapping to cache
    set [set], touched by the segments; counting stops at [cap].  Lines in
    set [set] are exactly [set + m * sets] for integer [m]; a value [v]
    belongs to that line's window iff [v in [set*L + m*M, set*L + m*M + L)]
-   with [M = sets * L]. *)
+   with [M = sets * L].
+
+   A dense segment's image is exactly the lattice [const + g*Z] cut to
+   [mn, mx], so it is answered in closed form without a residue image:
+   with [g <= L] every window inside [mn, mx] holds a point and the window
+   walk stops within a few steps; with [g > L] [lattice_windows] visits
+   only the windows that hold one.  Other segments are prefiltered by
+   their residue image, then walked window by window with exact interval
+   queries. *)
 let count_interfering t ~set ~line_a ~cap segments =
   let cfg = t.cache in
   let l_bytes = cfg.Tiling_cache.Config.line in
@@ -370,27 +397,38 @@ let count_interfering t ~set ~line_a ~cap segments =
             if m <> m0 then Hashtbl.replace found m ()
           end
       | gens ->
-          let rs = residues t gens in
-          (* The image residues are those of the generators shifted by
-             const; probe the set window accordingly. *)
-          if Residue_set.hits_window rs ~lo:(base - seg.const) ~len:l_bytes then begin
+          let dense, g = dense_and_gcd gens in
+          if dense && g > l_bytes then begin
+            let mn, mx = Box.value_range seg.const gens in
+            lattice_windows ~base ~modulus:m_big ~line:l_bytes ~mn ~mx ~g ~m0
+              (fun m ->
+                Hashtbl.replace found m ();
+                Hashtbl.length found < cap)
+          end
+          else if dense then begin
+            (* O(1) per window. *)
+            let mn, mx = Box.value_range seg.const gens in
+            let m_hi = Intmath.floor_div (mx - base) m_big in
+            let m = ref (Intmath.floor_div (mn - base) m_big) in
+            while Hashtbl.length found < cap && !m <= m_hi do
+              if !m <> m0 then begin
+                let a = base + (!m * m_big) and b = base + (!m * m_big) + l_bytes - 1 in
+                if lattice_hits ~c:seg.const ~g (max a mn) (min b mx) then
+                  Hashtbl.replace found !m ()
+              end;
+              incr m
+            done
+          end
+          else if
+            (* The image residues are those of the generators shifted by
+               const; probe the set window accordingly. *)
+            Residue_set.hits_window (residues t gens) ~lo:(base - seg.const)
+              ~len:l_bytes
+          then begin
             let mn, mx = Box.value_range seg.const gens in
             let m_lo = Intmath.floor_div (mn - base) m_big in
             let m_hi = Intmath.floor_div (mx - base) m_big in
-            let dense, g, _ = dense_and_gcd gens in
-            if dense then begin
-              (* O(1) per window. *)
-              let m = ref m_lo in
-              while Hashtbl.length found < cap && !m <= m_hi do
-                if !m <> m0 then begin
-                  let a = base + (!m * m_big) and b = base + (!m * m_big) + l_bytes - 1 in
-                  if lattice_hits ~c:seg.const ~g (max a mn) (min b mx) then
-                    Hashtbl.replace found !m ()
-                end;
-                incr m
-              done
-            end
-            else if m_hi - m_lo + 1 > t.window_cap then begin
+            if m_hi - m_lo + 1 > t.window_cap then begin
               (* Too many windows for exact enumeration of a non-dense
                  image: conservatively saturate. *)
               t.fallbacks <- t.fallbacks + 1;

@@ -24,11 +24,16 @@
     candidates are neither built nor searched for.
 
     Replacement queries are answered analytically: the image of a
-    reference's address function over a path box is a small set of
-    generators (steps and counts); its residues modulo [sets * line] are
-    computed once per generator signature (memoised) and probed against the
-    window of the destination's cache set, and distinct interfering lines
-    are identified by exact interval queries with gcd/denseness shortcuts.
+    reference's address function over a path box is a constant plus a
+    small set of generators (steps and counts).  When the image is dense —
+    exactly the lattice [c + g*Z] over its value range — the windows of the
+    destination's cache set that it meets follow in closed form: with [g]
+    at most the line size every window inside the range holds a point, and
+    with a larger [g] the points that land in the set's windows form a few
+    residue classes found with one modular inverse ({!lattice_windows}).
+    Other images have their residues modulo [sets * line] computed once per
+    generator signature (memoised), probed against the set's window, and
+    their distinct interfering lines identified by exact interval queries.
     Queries that exceed the window/recursion budget, and latest-source
     searches that exhaust theirs, fall back to a conservative answer and
     are counted in {!fallback_count}. *)
@@ -74,6 +79,26 @@ val reuse_sources : t -> int array -> int -> (int array * int) list
     access hits iff at least one source's path is interference-free.
     Exposed for the symbolic solver and for tests. *)
 
+val lattice_windows :
+  base:int ->
+  modulus:int ->
+  line:int ->
+  mn:int ->
+  mx:int ->
+  g:int ->
+  m0:int ->
+  (int -> bool) ->
+  unit
+(** The interference walk over a sparse path image, exposed for tests.
+    The image is the lattice [{mn + g*j : 0 <= j <= (mx - mn) / g}] with
+    [g > line], and window [m] is [\[base + m*modulus, base + m*modulus +
+    line)].  [lattice_windows ... take] offers [take], in increasing order,
+    every window index other than [m0] whose window holds a lattice point,
+    and stops as soon as [take] answers [false].  Since [g > line], a
+    window holds at most one point; the walk jumps from one such point to
+    the next in closed form ({!Tiling_util.Intmath.next_window_hit}) and
+    never visits an empty window. *)
+
 val fallback_count : t -> int
 (** Number of conservative answers consulted so far: saturated window
     enumerations and exhausted interval queries on the paths {!classify}
@@ -88,11 +113,12 @@ val memo_size : t -> int
 
 (** {2 Cross-engine residue cache}
 
-    Canonical generator signatures recur across the hundreds of engines a
-    GA run creates (the modulus is fixed by the cache configuration and
-    nearby tile vectors share generators), so residue images are also
-    cached in a process-wide, sharded, mutex-protected table keyed by
-    [(modulus, canonical generators)].  Each engine's private table acts
+    Residue images are built only for path images that are not dense
+    lattices.  Canonical generator signatures recur across the hundreds of
+    engines a GA run creates (the modulus is fixed by the cache
+    configuration and nearby tile vectors share generators), so residue
+    images are also cached in a process-wide, sharded, mutex-protected
+    table keyed by [(modulus, canonical generators)].  Each engine's private table acts
     as an L1 in front of it.  The shared cache is bounded and evicts in
     FIFO insertion order; eviction only ever costs a recompute, never
     correctness.  Hits, misses and evictions are counted in the

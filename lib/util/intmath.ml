@@ -10,8 +10,8 @@ let egcd a b =
       let q = r0 / r1 in
       loop r1 x1 y1 (r0 - (q * r1)) (x0 - (q * x1)) (y0 - (q * y1))
   in
-  let g, x, y = loop a 1 0 b 0 1 in
-  if g < 0 then (-g, -x, -y) else (g, x, y)
+  let ((g, x, y) as r) = loop a 1 0 b 0 1 in
+  if g < 0 then (-g, -x, -y) else r
 
 let floor_div a b =
   let q = a / b and r = a mod b in
@@ -50,6 +50,32 @@ let range_count ~lo ~hi ~step =
 let multiples_in ~lo ~hi m =
   assert (m > 0);
   if hi < lo then 0 else floor_div hi m - floor_div (lo - 1) m
+
+let next_window_hit ~a ~g ~m ~len j0 =
+  assert (g > 0 && m > 0);
+  let h, u, _ = egcd g m in
+  let p = m / h in
+  (* Search [j = j0 + d]: the values [(x + g*d) mod m] are exactly the
+     residues congruent to [x] modulo [h], so the ones below [len] are
+     [r + h*i] for [i < classes]. *)
+  let x = pos_mod (a + (g * j0)) m in
+  let r = x mod h in
+  let classes = min p (floor_div (len - 1 - r) h + 1) in
+  if classes <= 0 then None
+  else begin
+    (* [g*u = h (mod m)], so [g*d = r + h*i - x (mod m)] iff
+       [d = u * ((r - x)/h + i) (mod p)]: consecutive classes sit [u]
+       apart modulo [p]. *)
+    let u = pos_mod u p in
+    let d = ref (pos_mod (u * pos_mod ((r - x) / h) p) p) in
+    let best = ref !d in
+    for _ = 2 to classes do
+      d := !d + u;
+      if !d >= p then d := !d - p;
+      if !d < !best then best := !d
+    done;
+    Some (j0 + !best)
+  end
 
 let crt (a, m) (b, n) =
   assert (m > 0 && n > 0);

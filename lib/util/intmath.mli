@@ -48,6 +48,14 @@ val multiples_in : lo:int -> hi:int -> int -> int
 (** [multiples_in ~lo ~hi m] counts the multiples of [m > 0] inside the
     inclusive interval [\[lo, hi\]] (0 when the interval is empty). *)
 
+val next_window_hit : a:int -> g:int -> m:int -> len:int -> int -> int option
+(** [next_window_hit ~a ~g ~m ~len j0] is the least [j >= j0] with
+    [(a + g*j) mod m < len], or [None] when no [j] qualifies.  With
+    [h = gcd g m] and [r = a mod h], the qualifying [j] form
+    [floor ((len - 1 - r) / h) + 1] residue classes modulo [m / h]; one
+    modular inverse finds them, so the cost is [O(log m + len / h)]
+    whatever the distance to the answer.  [g] and [m] must be positive. *)
+
 val crt : (int * int) -> (int * int) -> (int * int) option
 (** [crt (a, m) (b, n)] solves [x = a (mod m)], [x = b (mod n)] by the
     Chinese remainder theorem for possibly non-coprime moduli.  Returns

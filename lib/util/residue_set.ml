@@ -75,48 +75,40 @@ let inter a b =
   t
 
 (* Rotation by [k] positions.  Residue [r] of the source lands at
-   [(r + k) mod m].  We walk destination words and gather the source bits;
-   with 62-bit packing a destination word spans at most three source words
-   once the wrap at position [m] is taken into account, so we fall back to a
-   simple per-bit gather only for tiny moduli. *)
+   [(r + k) mod m]: destination bits [k, m) come from source bits
+   [0, m - k) and destination bits [0, k) from source bits [m - k, m).
+   Within each of the two ranges a destination word reads one fixed bit
+   offset further into the source, so it gathers its bits from at most two
+   consecutive source words with one funnel shift; the word the ranges
+   share ORs both gathers.  Source words outside the array read as zero,
+   and so do the bits above [m] in the last one, so a gather that runs off
+   either end of a range contributes nothing; only the last destination
+   word needs masking. *)
 let rotate t k =
   let m = t.m in
   let k = Intmath.pos_mod k m in
   if k = 0 then copy t
   else begin
-    let dst = create m in
-    if m <= 4 * bits_per_word then begin
-      (* Small modulus: per-bit copy is cheap and obviously correct. *)
-      for r = 0 to m - 1 do
-        if mem t r then add dst (r + k)
-      done;
-      dst
-    end
-    else begin
-      (* Split the source into [0, m-k) -> shifted up by k, and
-         [m-k, m) -> wrapped down to [0, k).  Copy bit ranges with word ops. *)
-      let blit_range ~src_lo ~dst_lo ~len =
-        (* Copy [len] bits starting at source bit [src_lo] to destination bit
-           [dst_lo]. *)
-        let i = ref 0 in
-        while !i < len do
-          let s = src_lo + !i and d = dst_lo + !i in
-          let sw = s / bits_per_word and sb = s mod bits_per_word in
-          let dw = d / bits_per_word and db = d mod bits_per_word in
-          (* How many bits can we move in one word operation? *)
-          let chunk =
-            min (len - !i) (min (bits_per_word - sb) (bits_per_word - db))
-          in
-          let mask = if chunk = bits_per_word then all_bits else (1 lsl chunk) - 1 in
-          let bits = (t.words.(sw) lsr sb) land mask in
-          dst.words.(dw) <- dst.words.(dw) lor (bits lsl db);
-          i := !i + chunk
-        done
-      in
-      blit_range ~src_lo:0 ~dst_lo:k ~len:(m - k);
-      blit_range ~src_lo:(m - k) ~dst_lo:0 ~len:k;
-      dst
-    end
+    let src = t.words in
+    let n = Array.length src in
+    let word i = if i >= 0 && i < n then src.(i) else 0 in
+    let dst = Array.make n 0 in
+    (* [dst.(w) |= source bits [w*62 + off, w*62 + off + 62)] for
+       [w in [w_lo, w_hi]]. *)
+    let gather ~off ~w_lo ~w_hi =
+      let start = (w_lo * bits_per_word) + off in
+      let q = Intmath.floor_div start bits_per_word in
+      let b = start - (q * bits_per_word) in
+      for w = w_lo to w_hi do
+        let i = q + w - w_lo in
+        let bits = (word i lsr b) lor (word (i + 1) lsl (bits_per_word - b)) in
+        dst.(w) <- dst.(w) lor (bits land all_bits)
+      done
+    in
+    gather ~off:(-k) ~w_lo:(k / bits_per_word) ~w_hi:(n - 1);
+    gather ~off:(m - k) ~w_lo:0 ~w_hi:((k - 1) / bits_per_word);
+    dst.(n - 1) <- dst.(n - 1) land tail_mask m;
+    { m; words = dst }
   end
 
 (* Union of [shift(t, i * step)] for [0 <= i < count], by binary doubling:

@@ -8,11 +8,14 @@
     the image of [c0 + sum_q c_q * t_q] (with [t_q] in [\[0, n_q)]) modulo [m]
     is [singleton m c0] combined with [sum_progression] once per variable.
 
-    Complexity notes: a sumset with a progression of [count] terms costs
-    [O((m/64) * log count)] word operations thanks to a doubling scheme, and
-    progressions at least as long as their cyclic period collapse to a
-    subgroup smear.  Cache sizes are powers of two, so the word-rotation fast
-    path applies throughout the library. *)
+    Complexity notes: {!rotate} costs [O(m/62)] word operations for every
+    modulus (62 residues per word; each destination word gathers from at
+    most two source words), so a sumset with a progression of [count] terms
+    costs [O((m/62) * log count)] word operations thanks to a doubling
+    scheme, and progressions at least as long as their cyclic period
+    collapse to a subgroup smear.  The CME engine builds these images only
+    for path images that are not dense lattices; it answers dense ones in
+    closed form. *)
 
 type t
 

@@ -62,7 +62,16 @@ let test_associative () =
   compare_with_sim (Tiling_kernels.Kernels.t3djik 14) c4;
   compare_with_sim
     (Transform.tile (Tiling_kernels.Kernels.t3djik 14) [| 5; 5; 5 |])
-    c2
+    c2;
+  (* Sparse path images (lattice step above the line size): on each
+     input the closed-form walk finds several interfering lines thousands
+     of times and skips the reused line's own window hundreds of times. *)
+  let c4_1k = Tiling_cache.Config.make ~size:1024 ~line:16 ~assoc:4 () in
+  compare_with_sim ~tol:1e-9 (Tiling_kernels.Kernels.sor 16) c2;
+  compare_with_sim ~tol:1e-9 (Tiling_kernels.Kernels.sor 24) c4_1k;
+  compare_with_sim ~tol:1e-9
+    (Transform.tile (Tiling_kernels.Kernels.mm 16) [| 4; 6; 3 |])
+    c4_1k
 
 let test_matvec () =
   compare_with_sim (Tiling_kernels.Kernels.matmul 24) cache1k;
@@ -246,7 +255,14 @@ let est_center (e : Tiling_cme.Estimator.report) =
 let test_shared_residues_cross_engine () =
   Tiling_cme.Engine.set_shared_residue_capacity 4096;
   Tiling_cme.Engine.clear_shared_residues ();
-  let nest = Tiling_kernels.Kernels.mm 16 in
+  (* Every path image of untiled MM is a dense lattice, answered in closed
+     form without a residue image. *)
+  ignore
+    (Tiling_cme.Estimator.exact
+       (Tiling_cme.Engine.create (Tiling_kernels.Kernels.mm 16) cache1k));
+  Alcotest.(check int) "dense images build no residue set" 0
+    (Tiling_cme.Engine.shared_residue_size ());
+  let nest = Transform.tile (Tiling_kernels.Kernels.mm 16) [| 4; 6; 3 |] in
   let r1 =
     est_center (Tiling_cme.Estimator.exact (Tiling_cme.Engine.create nest cache1k))
   in
@@ -296,6 +312,61 @@ let suite =
       Alcotest.test_case "shared residues eviction-correct" `Quick
         test_shared_residues_eviction_correct;
     ]
+
+(* --- closed-form windows of sparse lattices ------------------------- *)
+
+(* The engine's walk over a lattice [{mn + g*j}] with [g > line] against a
+   walk over every window of [mn, mx]: both must take the same first [cap]
+   windows other than [m0], in order.  [pick < 4] puts [m0] on one of the
+   first hitting windows when there are enough; otherwise it lands anywhere
+   within two windows of the range. *)
+let prop_lattice_windows =
+  QCheck.Test.make ~name:"sparse lattice windows = window walk" ~count:2000
+    (QCheck.make
+       ~print:(fun (m, l, g, mn, last, set, cap, pick, spare) ->
+         Printf.sprintf
+           "M=%d L=%d g=%d mn=%d last=%d set=%d cap=%d pick=%d spare=%d" m l g
+           mn last set cap pick spare)
+       QCheck.Gen.(
+         let* m_log = int_range 2 14 in
+         let m = 1 lsl m_log in
+         let* l_log = int_range 2 (min 6 m_log) in
+         let l = 1 lsl l_log in
+         let* g = int_range (l + 1) (4 * m) in
+         let* mn = int_range (-3 * m) (3 * m) in
+         let* last = int_range 0 200 in
+         let* set = int_range 0 ((m / l) - 1) in
+         let* cap = int_range 1 4 in
+         let* pick = int_range 0 7 in
+         let* spare = int_range 0 1_000_000 in
+         return (m, l, g, mn, last, set, cap, pick, spare)))
+    (fun (m, l, g, mn, last, set, cap, pick, spare) ->
+      let floor_div = Tiling_util.Intmath.floor_div in
+      let base = set * l and mx = mn + (g * last) in
+      let m_lo = floor_div (mn - base) m and m_hi = floor_div (mx - base) m in
+      let holds w =
+        let lo = max mn (base + (w * m)) and hi = min mx (base + (w * m) + l - 1) in
+        lo + Tiling_util.Intmath.pos_mod (mn - lo) g <= hi
+      in
+      let hits =
+        List.filter holds (List.init (m_hi - m_lo + 1) (fun i -> m_lo + i))
+      in
+      let m0 =
+        match List.nth_opt hits pick with
+        | Some w when pick < 4 -> w
+        | _ -> m_lo - 2 + (spare mod (m_hi - m_lo + 5))
+      in
+      let want =
+        List.filteri (fun i _ -> i < cap) (List.filter (fun w -> w <> m0) hits)
+      in
+      let got = ref [] in
+      Tiling_cme.Engine.lattice_windows ~base ~modulus:m ~line:l ~mn ~mx ~g ~m0
+        (fun w ->
+          got := w :: !got;
+          List.length !got < cap);
+      List.rev !got = want)
+
+let suite = suite @ [ qcheck prop_lattice_windows ]
 
 (* --- latest-source exactness on affine nests ------------------------- *)
 

@@ -124,6 +124,40 @@ let prop_multiples =
       done;
       Intmath.multiples_in ~lo ~hi m = !naive)
 
+let test_next_window_hit () =
+  let hit = Intmath.next_window_hit in
+  (* 5 + 5j mod 16 runs 5, 10, 15, 4, 9, 14, 3, 8, 13, 2: below 4 first
+     at j = 6, then at j = 9. *)
+  Alcotest.(check (option int)) "first" (Some 6) (hit ~a:5 ~g:5 ~m:16 ~len:4 0);
+  Alcotest.(check (option int)) "from the answer" (Some 6)
+    (hit ~a:5 ~g:5 ~m:16 ~len:4 6);
+  Alcotest.(check (option int)) "next" (Some 9) (hit ~a:5 ~g:5 ~m:16 ~len:4 7);
+  (* g = m: every term has residue 40 mod 32 = 8, never below 4. *)
+  Alcotest.(check (option int)) "unreachable" None
+    (hit ~a:40 ~g:32 ~m:32 ~len:4 0);
+  Alcotest.(check (option int)) "constant in window" (Some 5)
+    (hit ~a:(-31) ~g:32 ~m:32 ~len:4 5)
+
+(* The least [j >= j0] by scanning one period of [j] ([m] terms). *)
+let prop_next_window_hit =
+  QCheck.Test.make ~name:"next_window_hit = linear scan" ~count:1000
+    QCheck.(
+      make
+        Gen.(
+          let* m = int_range 1 600 in
+          let* len = int_range 1 m in
+          let* g = int_range 1 2000 in
+          let* a = int_range (-5000) 5000 in
+          let* j0 = int_range (-50) 50 in
+          return (a, g, m, len, j0)))
+    (fun (a, g, m, len, j0) ->
+      let rec scan j =
+        if j >= j0 + m then None
+        else if Intmath.pos_mod (a + (g * j)) m < len then Some j
+        else scan (j + 1)
+      in
+      Intmath.next_window_hit ~a ~g ~m ~len j0 = scan j0)
+
 let suite =
   [
     Alcotest.test_case "gcd" `Quick test_gcd_basic;
@@ -136,9 +170,11 @@ let suite =
     Alcotest.test_case "multiples_in" `Quick test_multiples_in;
     Alcotest.test_case "clamp" `Quick test_clamp;
     Alcotest.test_case "crt" `Quick test_crt;
+    Alcotest.test_case "next_window_hit" `Quick test_next_window_hit;
     qcheck prop_egcd;
     qcheck prop_floor_div;
     qcheck prop_pos_mod;
     qcheck prop_crt;
     qcheck prop_multiples;
+    qcheck prop_next_window_hit;
   ]

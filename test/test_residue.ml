@@ -120,6 +120,78 @@ let prop_rotate =
       in
       got = want)
 
+(* Random fills over moduli on both sides of the 62-bit word boundaries
+   and large powers of two: each base set holds [start] plus a fill that
+   is empty (a singleton), sparse or dense.  The model is a bool array. *)
+
+let word_moduli = [ 1; 5; 61; 62; 63; 124; 125; 248; 249; 8192; 32768 ]
+
+let gen_fill =
+  QCheck.Gen.(
+    let* m = oneofl word_moduli in
+    let* start = int_range (-200) 200 in
+    let* density = oneof [ return 0.; float_range 0. 0.05; float_range 0. 1. ] in
+    let* seed = int_range 0 1_000_000 in
+    return (m, start, density, seed))
+
+let print_fill (m, start, density, seed) =
+  Printf.sprintf "m=%d start=%d density=%g seed=%d" m start density seed
+
+let fill_model (m, start, density, seed) =
+  let st = Random.State.make [| seed |] in
+  let model = Array.init m (fun _ -> Random.State.float st 1. < density) in
+  model.(Intmath.pos_mod start m) <- true;
+  model
+
+let of_model model =
+  let t = Residue_set.create (Array.length model) in
+  Array.iteri (fun r b -> if b then Residue_set.add t r) model;
+  t
+
+(* Word-for-word equal to the set [add] builds: the same members and no
+   stray bits above the modulus, which [cardinal] would count. *)
+let agrees t model = Residue_set.equal t (of_model model)
+
+let prop_rotate_fill =
+  QCheck.Test.make ~name:"rotate of random fills equals naive shift" ~count:300
+    (QCheck.make
+       ~print:(fun (f, k) -> Printf.sprintf "%s k=%d" (print_fill f) k)
+       QCheck.Gen.(pair gen_fill (int_range (-70000) 70000)))
+    (fun (f, k) ->
+      let model = fill_model f in
+      let m = Array.length model in
+      let want = Array.make m false in
+      Array.iteri
+        (fun r member -> if member then want.(Intmath.pos_mod (r + k) m) <- true)
+        model;
+      agrees (Residue_set.rotate (of_model model) k) want)
+
+let prop_sum_progression_fill =
+  QCheck.Test.make ~name:"sum_progression over random multi-element bases"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (f, step, count) ->
+         Printf.sprintf "%s step=%d count=%d" (print_fill f) step count)
+       QCheck.Gen.(
+         let* f = gen_fill in
+         let* step = oneof [ int_range (-300) 300; int_range (-100000) 100000 ] in
+         let* count = int_range 1 300 in
+         return (f, step, count)))
+    (fun (f, step, count) ->
+      let model = fill_model f in
+      let m = Array.length model in
+      let want = Array.make m false in
+      (* Terms past the progression's period repeat earlier residues. *)
+      let period = m / Intmath.gcd (Intmath.pos_mod step m) m in
+      Array.iteri
+        (fun r member ->
+          if member then
+            for i = 0 to min count period - 1 do
+              want.(Intmath.pos_mod (r + (i * step)) m) <- true
+            done)
+        model;
+      agrees (Residue_set.sum_progression (of_model model) ~step ~count) want)
+
 let prop_window =
   QCheck.Test.make ~name:"hits_window / count_window vs naive" ~count:400
     (QCheck.make
@@ -153,4 +225,6 @@ let suite =
     qcheck prop_sum_progression;
     qcheck prop_rotate;
     qcheck prop_window;
+    qcheck prop_rotate_fill;
+    qcheck prop_sum_progression_fill;
   ]
