@@ -484,18 +484,16 @@ let throughput () =
 
 (* Measures Eval.evaluate_all itself — backend cost, memoisation, batch
    plumbing and domain fan-out — on synthetic GA generations of fresh
-   candidates, for the pool strategy against the pre-PR spawn-per-batch
-   baseline, with the shared residue cache cold and warm.  Batches are
+   candidates, with the shared residue cache cold and warm.  Batches are
    deliberately small (a converged GA's generations mostly hit the memo,
-   so the work lists that reach Par.map are short); that is exactly the
-   regime where per-batch domain spawns dominated. *)
+   so the work lists that reach Par.map are short), the regime where
+   per-batch overheads dominate. *)
 
 type eval_row = {
   e_kernel : string;
   e_size : int;
   e_cache_size : int; (* cache capacity in bytes *)
   e_backend : string;
-  e_mode : string; (* "pool" | "spawn" *)
   e_residues : string; (* "cold" | "warm" *)
   e_domains : int;
   e_evals : int;
@@ -529,9 +527,9 @@ let candidate_batches ~spans ~batches ~batch_size ~seed =
               else 1 + Tiling_util.Prng.int rng spans.(l))))
 
 let eval_throughput () =
-  Fmt.pr "@.== Eval throughput: evaluate_all evals/sec, pool vs spawn ==@.";
-  Fmt.pr "%-10s %-10s %-5s %-4s %7s %8s %10s %12s %5s@." "Kernel_N" "backend"
-    "mode" "res" "domains" "evals" "wall (s)" "evals/sec" "fb";
+  Fmt.pr "@.== Eval throughput: evaluate_all evals/sec ==@.";
+  Fmt.pr "%-10s %-10s %-4s %7s %8s %10s %12s %5s@." "Kernel_N" "backend"
+    "res" "domains" "evals" "wall (s)" "evals/sec" "fb";
   let quick = bench_quick () in
   let domain_counts = if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
   let batches = if quick then 8 else 24 in
@@ -578,11 +576,7 @@ let eval_throughput () =
       let all_batches =
         candidate_batches ~spans ~batches ~batch_size ~seed:(seed + n)
       in
-      let measure ~mode ~residues ~domains =
-        Tiling_util.Par.set_strategy
-          (match mode with
-          | "spawn" -> Tiling_util.Par.Spawn
-          | _ -> Tiling_util.Par.Pool);
+      let measure ~residues ~domains =
         if residues = "cold" then Tiling_cme.Engine.clear_shared_residues ();
         (* A fresh service per run: an empty objective memo means every
            candidate reaches the backend; "warm" refers only to the shared
@@ -600,7 +594,6 @@ let eval_throughput () =
           (fun batch -> ignore (Tiling_search.Eval.evaluate_all eval batch))
           all_batches;
         let wall = Unix.gettimeofday () -. t0 in
-        Tiling_util.Par.set_strategy Tiling_util.Par.Pool;
         let evals = Tiling_search.Eval.fresh eval in
         let fallbacks =
           Tiling_obs.Metrics.counter_value fallback_counter - fb0
@@ -612,7 +605,6 @@ let eval_throughput () =
             e_size = n;
             e_cache_size = cache.Tiling_cache.Config.size;
             e_backend = backend.Tiling_search.Backend.name;
-            e_mode = mode;
             e_residues = residues;
             e_domains = domains;
             e_evals = evals;
@@ -621,18 +613,15 @@ let eval_throughput () =
             e_fallbacks = fallbacks;
           }
           :: !eval_rows;
-        Fmt.pr "%-10s %-10s %-5s %-4s %7d %8d %10.3f %12.0f %5d@."
+        Fmt.pr "%-10s %-10s %-4s %7d %8d %10.3f %12.0f %5d@."
           (Printf.sprintf "%s_%d/%dk" name n (cache.Tiling_cache.Config.size / 1024))
-          backend.Tiling_search.Backend.name mode residues domains evals wall
-          rate fallbacks
+          backend.Tiling_search.Backend.name residues domains evals wall rate
+          fallbacks
       in
       List.iter
         (fun domains ->
-          (* cold then warm for the pool path; the spawn baseline runs on
-             the warm cache so the comparison isolates the batch plumbing. *)
-          measure ~mode:"pool" ~residues:"cold" ~domains;
-          measure ~mode:"pool" ~residues:"warm" ~domains;
-          if domains > 1 then measure ~mode:"spawn" ~residues:"warm" ~domains)
+          measure ~residues:"cold" ~domains;
+          measure ~residues:"warm" ~domains)
         domain_counts)
     configs;
   Tiling_obs.Metrics.set_enabled metrics_were;

@@ -26,7 +26,6 @@
                       "evals_per_s": float }, ...
                     (* eval-throughput rows additionally carry *)
                     { "target": "eval-throughput", "backend": str,
-                      "mode": "pool"|"spawn",
                       "shared_residues": "cold"|"warm", ... } ],
        "serve_latency":
                   [ { "kernel": str, "n": int, "phase": "cold"|"warm",
@@ -120,7 +119,6 @@ let json_of_eval_row (r : Experiments.eval_row) =
       ("n", Int r.Experiments.e_size);
       ("cache_size", Int r.Experiments.e_cache_size);
       ("backend", String r.Experiments.e_backend);
-      ("mode", String r.Experiments.e_mode);
       ("shared_residues", String r.Experiments.e_residues);
       ("domains", Int r.Experiments.e_domains);
       ("evals", Int r.Experiments.e_evals);

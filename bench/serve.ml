@@ -302,10 +302,11 @@ let await_socket sock =
   in
   await 200
 
-(* Run [f front pids] with the topology up: [workers = 0] is the plain
-   in-process daemon, otherwise [workers] tiler subprocesses behind an
-   in-process router.  [f] gets the front socket plus the worker pids
-   (for the failover phase); teardown drains the whole tree. *)
+(* Run [f front daemons pids] with the topology up: [workers = 0] is the
+   plain in-process daemon, otherwise [workers] tiler subprocesses behind
+   an in-process router.  [f] gets the front socket, the sockets of the
+   daemons that evaluate (and coalesce) and the worker pids (for the
+   failover phase); teardown drains the whole tree. *)
 let with_topology ~workers f =
   let store = temp_path ".store" in
   let rm_store () =
@@ -331,7 +332,7 @@ let with_topology ~workers f =
         rm_store ();
         if Sys.file_exists sock then Sys.remove sock)
       (fun () ->
-        f sock [||];
+        f sock [| sock |] [||];
         let c = connect sock in
         ignore (Client.call c ~meth:"shutdown" ~params:[]);
         Client.close c)
@@ -380,7 +381,7 @@ let with_topology ~workers f =
         Array.iter (fun s -> if Sys.file_exists s then Sys.remove s) wsocks;
         if Sys.file_exists rsock then Sys.remove rsock)
       (fun () ->
-        f rsock pids;
+        f rsock wsocks pids;
         let c = connect rsock in
         ignore (Client.call c ~meth:"shutdown" ~params:[]);
         Client.close c)
@@ -393,29 +394,30 @@ let run_fanout () =
   let per_client = if quick then 2 else 4 in
   let n = if quick then 12 else 24 in
   let warm_p50 : (string, float) Hashtbl.t = Hashtbl.create 4 in
-  let coalesced_total sock =
-    (* requests.coalesced from whoever fronts the topology: the daemon's
-       scheduler counter or the router's shared-forward counter *)
-    let c = connect sock in
-    let v =
-      match Client.call c ~meth:"stats" ~params:[] with
-      | Ok e -> (
-          match Client.result_of_response e with
-          | Ok r -> (
-              match Json.member "requests" r with
-              | Some req -> (
-                  match Json.member "coalesced" req with
-                  | Some (Json.Int i) -> i
-                  | _ -> 0)
-              | None -> 0)
-          | Error _ -> 0)
-      | Error _ -> 0
-    in
-    Client.close c;
-    v
+  (* requests.coalesced summed over the daemons' schedulers, the one
+     layer that coalesces; a daemon killed by the failover phase counts 0 *)
+  let coalesced_total daemons =
+    Array.fold_left
+      (fun acc sock ->
+        match Client.connect (Netio.Unix_sock sock) with
+        | Error _ -> acc
+        | Ok c -> (
+            let r = Client.call c ~meth:"stats" ~params:[] in
+            Client.close c;
+            match Result.map Client.result_of_response r with
+            | Ok (Ok stats) -> (
+                match
+                  Option.bind (Json.member "requests" stats)
+                    (Json.member "coalesced")
+                with
+                | Some (Json.Int i) -> acc + i
+                | _ -> acc)
+            | _ -> acc))
+      0 daemons
   in
-  let measure ~topology ~phase ~sock ~seed_of ~requests_per_client () =
-    let before = coalesced_total sock in
+  let measure ~topology ~phase ~sock ~daemons ~seed_of ~requests_per_client ()
+      =
+    let before = coalesced_total daemons in
     let lats = Array.make (clients * requests_per_client) 0. in
     let t0 = Unix.gettimeofday () in
     let threads =
@@ -446,7 +448,7 @@ let run_fanout () =
     in
     List.iter Thread.join threads;
     let wall = Unix.gettimeofday () -. t0 in
-    let hits = max 0 (coalesced_total sock - before) in
+    let hits = max 0 (coalesced_total daemons - before) in
     Array.sort compare lats;
     let p50 = percentile lats 50 and p95 = percentile lats 95 in
     Fmt.pr
@@ -466,18 +468,18 @@ let run_fanout () =
       }
       :: !fanout_rows
   in
-  let topo_phases topology sock (pids : int array) =
+  let topo_phases topology sock daemons (pids : int array) =
     (* distinct seeds per (client, slot): every evaluation is fresh *)
-    measure ~topology ~phase:"cold" ~sock
+    measure ~topology ~phase:"cold" ~sock ~daemons
       ~seed_of:(fun c i -> 1000 + (c * per_client) + i)
       ~requests_per_client:per_client ();
     (* the same seeds again: answered out of the shared store *)
-    measure ~topology ~phase:"warm" ~sock
+    measure ~topology ~phase:"warm" ~sock ~daemons
       ~seed_of:(fun c i -> 1000 + (c * per_client) + i)
       ~requests_per_client:per_client ();
     (* every client asks for the same fresh search at once: the fleet
        must evaluate once and share the answer *)
-    measure ~topology ~phase:"coalesce" ~sock
+    measure ~topology ~phase:"coalesce" ~sock ~daemons
       ~seed_of:(fun _ _ -> 777777)
       ~requests_per_client:1 ();
     if (not quick) && Array.length pids > 0 then begin
@@ -490,7 +492,7 @@ let run_fanout () =
             try Unix.kill pids.(0) Sys.sigkill with Unix.Unix_error _ -> ())
           ()
       in
-      measure ~topology ~phase:"failover" ~sock
+      measure ~topology ~phase:"failover" ~sock ~daemons
         ~seed_of:(fun c i -> 5000 + (c * per_client) + i)
         ~requests_per_client:per_client ();
       Thread.join killer

@@ -841,11 +841,12 @@ let serve_cmd =
   let router_arg =
     let doc =
       "Run as a fleet router instead of a worker daemon: shard searching \
-       requests across the $(b,--worker) daemons by fingerprint hash, \
-       coalesce identical in-flight requests, fail crashed workers over \
-       to the next live node (see docs/SERVER.md, Fleet mode).  Ignores \
-       the evaluation flags ($(b,--workers), $(b,--queue), $(b,--store), \
-       $(b,--deadline), $(b,--domains))."
+       requests across the $(b,--worker) daemons by fingerprint hash, so \
+       identical in-flight requests meet on one worker, which coalesces \
+       them; fail crashed workers over to the next live node (see \
+       docs/SERVER.md, Fleet mode).  Ignores the evaluation flags \
+       ($(b,--workers), $(b,--queue), $(b,--store), $(b,--deadline), \
+       $(b,--domains))."
     in
     Arg.(value & flag & info [ "router" ] ~doc)
   in

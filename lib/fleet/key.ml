@@ -23,8 +23,3 @@ let routing_noise = [ "trace"; "progress"; "deadline_s" ]
 
 let shard_key ~meth ~params =
   meth ^ " " ^ Json.to_string (canon (strip routing_noise params))
-
-let coalesce_key ~meth ~params =
-  match Json.member "progress" params with
-  | Some (Json.Bool true) -> None
-  | _ -> Some (meth ^ " " ^ Json.to_string (canon params))

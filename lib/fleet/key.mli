@@ -1,23 +1,14 @@
-(** Canonical request keys for the router.
+(** The router's placement key.
 
-    Both keys canonicalise the request (recursively sorted object
-    fields) so that field order on the wire never splits identical
-    requests, then differ in what they keep:
-
-    - the {e shard key} drops pure delivery options ([trace],
-      [progress], [deadline_s]) — they don't change the answer, so they
-      must not change the owning worker;
-    - the {e coalesce key} keeps every parameter — two requests may
-      share one evaluation only when their response envelopes can be
-      byte-identical, and a different deadline or trace opt-in breaks
-      that.  Progress-streaming requests never coalesce at all (frames
-      are per-subscription). *)
+    The shard key canonicalises the request (recursively sorted object
+    fields), so field order on the wire never splits identical requests,
+    and drops pure delivery options ([trace], [progress],
+    [deadline_s]): they don't change the answer, so they must not change
+    the owning worker.  Identical requests therefore meet on one worker,
+    whose scheduler coalesces them. *)
 
 val canon : Tiling_obs.Json.t -> Tiling_obs.Json.t
 (** Sort object fields recursively; leaves and list order untouched. *)
 
 val shard_key : meth:string -> params:Tiling_obs.Json.t -> string
 (** Rendezvous-hash input for worker selection. *)
-
-val coalesce_key : meth:string -> params:Tiling_obs.Json.t -> string option
-(** In-flight dedup key; [None] when the request must not coalesce. *)

@@ -2,7 +2,7 @@ module Json = Tiling_obs.Json
 module Metrics = Tiling_obs.Metrics
 module Netio = Tiling_util.Netio
 module Protocol = Tiling_server.Protocol
-module Http = Tiling_server.Http
+module Frontend = Tiling_server.Frontend
 
 let m_requests = Metrics.counter "fleet.router.requests"
 let m_forwarded = Metrics.counter "fleet.router.forwarded"
@@ -34,25 +34,11 @@ let default_config =
     metrics_addr = None;
   }
 
-let max_request_depth = 64
-
-type conn = {
-  fd : Unix.file_descr;
-  wlock : Mutex.t;  (* one response line at a time *)
-  plock : Mutex.t;  (* guards [pending] *)
-  idle : Condition.t;
-  mutable pending : int;  (* request threads that will still write to [fd] *)
-}
-
 type state = {
   cfg : config;
+  fe : Frontend.t;
   workers : Worker.t list;
-  coalesce : Json.t Coalesce.t;
   started_at : float;
-  stop : bool Atomic.t;
-  clock : Mutex.t;
-  conns : (int, conn) Hashtbl.t;
-  mutable conn_threads : Thread.t list;
   received : int Atomic.t;
   forwarded : int Atomic.t;
   retried : int Atomic.t;
@@ -60,51 +46,16 @@ type state = {
   failed : int Atomic.t;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Connection bookkeeping (same discipline as Tiling_server.Server)      *)
-
-let reply conn j =
-  Mutex.protect conn.wlock (fun () ->
-      match Netio.write_line conn.fd (Json.to_string j) with
-      | Ok () -> ()
-      | Error m -> Log.debug (fun f -> f "dropping reply: %s" m))
-
-let conn_begin c = Mutex.protect c.plock (fun () -> c.pending <- c.pending + 1)
-
-let conn_end c =
-  Mutex.protect c.plock (fun () ->
-      c.pending <- c.pending - 1;
-      if c.pending = 0 then Condition.broadcast c.idle)
-
-let conn_wait_idle c =
-  Mutex.protect c.plock (fun () ->
-      while c.pending > 0 do
-        Condition.wait c.idle c.plock
-      done)
+let reply = Frontend.reply
 
 (* ------------------------------------------------------------------ *)
 (* Envelope surgery                                                     *)
 
-(* A downstream response becomes each group member's response: swap in
-   the member's id and, for a group that actually shared, raise the
-   [coalesced] flag (idempotent — the worker may have set it already
-   when the group ALSO coalesced scheduler-side).  Field order matches
-   {!Protocol.ok_response}, so the group's envelopes stay byte-identical
-   modulo id. *)
-let rewrite_envelope ~id ~coalesced j =
-  match j with
+(* A worker's envelope answers the caller under the caller's own id. *)
+let rewrite_envelope ~id = function
   | Json.Obj fields ->
-      let fields = List.map (fun (k, v) -> if k = "id" then (k, id) else (k, v)) fields in
-      let fields =
-        if coalesced && not (List.mem_assoc "coalesced" fields) then
-          List.concat_map
-            (fun (k, v) ->
-              if k = "status" then [ (k, v); ("coalesced", Json.Bool true) ]
-              else [ (k, v) ])
-            fields
-        else fields
-      in
-      Json.Obj fields
+      Json.Obj
+        (List.map (fun (k, v) -> if k = "id" then (k, id) else (k, v)) fields)
   | other -> other
 
 let response_code j =
@@ -134,11 +85,10 @@ let candidates st ~key =
   up @ down
 
 (* Forward [req] to [w] and relay until the final envelope.  Progress
-   frames are relayed upstream as they arrive, with the id rewritten
-   (progress-streaming requests never coalesce, so the group is always
-   just this caller).  [Error] means a transport-level failure — the
-   worker died or spoke garbage — and the caller should retry elsewhere;
-   a server-side error envelope is a successful forward. *)
+   frames are relayed upstream as they arrive, with the id rewritten.
+   [Error] means a transport-level failure — the worker died or spoke
+   garbage — and the caller should retry elsewhere; a server-side error
+   envelope is a successful forward. *)
 let forward_once st conn ~(req : Protocol.request) w =
   match Worker.dial w with
   | Error m -> Error m
@@ -171,15 +121,14 @@ let forward_once st conn ~(req : Protocol.request) w =
                     Error (Unix.error_message e)
                 | `Line line -> (
                     match
-                      Json.of_string ~max_depth:max_request_depth
+                      Json.of_string ~max_depth:Frontend.max_request_depth
                         ~max_size:st.cfg.max_line_bytes line
                     with
                     | Error m -> Error ("malformed worker reply: " ^ m)
                     | Ok j -> (
                         match Json.member "status" j with
                         | Some (Json.String "progress") ->
-                            reply conn
-                              (rewrite_envelope ~id:req.id ~coalesced:false j);
+                            reply conn (rewrite_envelope ~id:req.id j);
                             relay ()
                         | _ -> Ok j))
               in
@@ -188,13 +137,13 @@ let forward_once st conn ~(req : Protocol.request) w =
 let no_live_worker =
   Protocol.err Protocol.Internal "no live worker could serve the request"
 
-(* The leader's job: walk the candidate list until a worker answers.
-   Transport failures mark the worker down and move on (a retried
-   request may replay progress frames already relayed — documented in
-   docs/SERVER.md); backpressure and every other server-side error
-   propagate as-is, because the rendezvous owner being saturated is a
-   signal for the CLIENT to back off, not for the router to pile the
-   same key onto a second node and wreck its warm locality. *)
+(* Walk the candidate list until a worker answers.  Transport failures
+   mark the worker down and move on (a retried request may replay
+   progress frames already relayed — documented in docs/SERVER.md);
+   backpressure and every other server-side error propagate as-is,
+   because the rendezvous owner being saturated is a signal for the
+   CLIENT to back off, not for the router to pile the same key onto a
+   second node and wreck its warm locality. *)
 let forward st conn ~(req : Protocol.request) ~key =
   let rec go = function
     | [] ->
@@ -246,43 +195,9 @@ let stats_json st =
             ("retried", Json.Int (Atomic.get st.retried));
             ("backpressure", Json.Int (Atomic.get st.backpressure));
             ("failed", Json.Int (Atomic.get st.failed));
-            ("coalesced", Json.Int (Coalesce.hits st.coalesce));
           ] );
-      ( "coalesce",
-        Json.Obj
-          [
-            ("inflight", Json.Int (Coalesce.inflight st.coalesce));
-            ("waiting", Json.Int (Coalesce.waiting st.coalesce));
-            ("hits", Json.Int (Coalesce.hits st.coalesce));
-          ] );
-      ( "connections",
-        Json.Int (Mutex.protect st.clock (fun () -> Hashtbl.length st.conns)) );
+      ("connections", Json.Int (Frontend.connections st.fe));
     ]
-
-let handle_metrics conn (req : Protocol.request) =
-  match Protocol.Params.string req.params "format" with
-  | Error m ->
-      reply conn
-        (Protocol.error_response ~id:req.id (Protocol.err Protocol.Bad_request m))
-  | Ok (Some "json") ->
-      reply conn
-        (Protocol.ok_response ~id:req.id
-           (Json.Obj
-              [ ("format", Json.String "json"); ("snapshot", Metrics.snapshot ()) ]))
-  | Ok (None | Some "openmetrics") ->
-      reply conn
-        (Protocol.ok_response ~id:req.id
-           (Json.Obj
-              [
-                ("format", Json.String "openmetrics");
-                ("body", Json.String (Tiling_obs.Openmetrics.render ()));
-              ]))
-  | Ok (Some other) ->
-      reply conn
-        (Protocol.error_response ~id:req.id
-           (Protocol.err Protocol.Bad_request
-              (Printf.sprintf "unknown format %S (expected openmetrics or json)"
-                 other)))
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                             *)
@@ -292,89 +207,31 @@ let dispatch st conn (req : Protocol.request) =
   Metrics.incr m_requests;
   match req.meth with
   | "stats" -> reply conn (Protocol.ok_response ~id:req.id (stats_json st))
-  | "metrics" -> handle_metrics conn req
-  | "shutdown" ->
-      reply conn
-        (Protocol.ok_response ~id:req.id (Json.Obj [ ("stopping", Json.Bool true) ]));
-      Log.info (fun f -> f "shutdown requested over the wire");
-      Atomic.set st.stop true
   | meth ->
       (* Everything else belongs to a worker.  The router does not know
          the method table — an unknown method comes back from the worker
          as its own [unknown_method] error, which keeps router and
-         worker versions decoupled. *)
-      let skey = Key.shard_key ~meth ~params:req.params in
-      conn_begin conn;
+         worker versions decoupled.  Identical concurrent requests share
+         a shard key, so they reach the same worker, whose scheduler
+         coalesces them. *)
+      let key = Key.shard_key ~meth ~params:req.params in
+      Frontend.conn_begin conn;
       let serve () =
         Fun.protect
-          ~finally:(fun () -> conn_end conn)
+          ~finally:(fun () -> Frontend.conn_end conn)
           (fun () ->
-            match Key.coalesce_key ~meth ~params:req.params with
-            | None ->
-                let envelope = forward st conn ~req ~key:skey in
-                reply conn
-                  (rewrite_envelope ~id:req.id ~coalesced:false envelope)
-            | Some ckey -> (
-                let waiter ~coalesced envelope =
-                  reply conn (rewrite_envelope ~id:req.id ~coalesced envelope)
-                in
-                match Coalesce.join st.coalesce ~key:ckey waiter with
-                | `Attached -> ()
-                | `Leader ->
-                    let envelope =
-                      try forward st conn ~req ~key:skey
-                      with e ->
-                        Protocol.error_response ~id:req.id
-                          (Protocol.err Protocol.Internal
-                             (Printexc.to_string e))
-                    in
-                    ignore (Coalesce.settle st.coalesce ~key:ckey envelope)))
+            let envelope =
+              try forward st conn ~req ~key
+              with e ->
+                Protocol.error_response ~id:req.id
+                  (Protocol.err Protocol.Internal (Printexc.to_string e))
+            in
+            reply conn (rewrite_envelope ~id:req.id envelope))
       in
       (* One thread per forwarded request: the connection read loop stays
          free to accept pipelined requests while this one blocks on a
-         worker, and an attached waiter costs no thread at all once the
-         join returns. *)
+         worker. *)
       ignore (Thread.create serve ())
-
-(* ------------------------------------------------------------------ *)
-(* Per-connection read loop                                             *)
-
-let salvage_id j = Option.value (Json.member "id" j) ~default:Json.Null
-
-let serve_conn st conn =
-  let r = Netio.reader conn.fd in
-  let rec loop () =
-    match Netio.read_line ~max_bytes:st.cfg.max_line_bytes r with
-    | `Eof -> ()
-    | `Too_long ->
-        reply conn
-          (Protocol.error_response ~id:Json.Null
-             (Protocol.err Protocol.Payload_too_large
-                (Printf.sprintf "request line exceeds %d bytes"
-                   st.cfg.max_line_bytes)))
-    | `Line line ->
-        if String.trim line = "" then loop ()
-        else begin
-          (match
-             Json.of_string ~max_depth:max_request_depth
-               ~max_size:st.cfg.max_line_bytes line
-           with
-          | Error m ->
-              reply conn
-                (Protocol.error_response ~id:Json.Null
-                   (Protocol.err Protocol.Bad_request ("invalid JSON: " ^ m)))
-          | Ok j -> (
-              match Protocol.request_of_json j with
-              | Error e -> reply conn (Protocol.error_response ~id:(salvage_id j) e)
-              | Ok req -> dispatch st conn req));
-          loop ()
-        end
-  in
-  (try loop ()
-   with e ->
-     Log.err (fun f -> f "connection loop died: %s" (Printexc.to_string e)));
-  conn_wait_idle conn;
-  try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Health sweeping                                                      *)
@@ -389,128 +246,54 @@ let health_thread st () =
   let sweep () =
     List.iter
       (fun w ->
-        if not (Atomic.get st.stop) then
+        if not (Frontend.stopping st.fe) then
           ignore (Worker.check ~timeout_s:st.cfg.io_timeout_s w))
       st.workers;
     set_up_gauge st
   in
   sweep ();
-  while not (Atomic.get st.stop) do
+  while not (Frontend.stopping st.fe) do
     let slept = ref 0. in
-    while (not (Atomic.get st.stop)) && !slept < st.cfg.health_period_s do
+    while (not (Frontend.stopping st.fe)) && !slept < st.cfg.health_period_s do
       Thread.delay 0.2;
       slept := !slept +. 0.2
     done;
-    if not (Atomic.get st.stop) then sweep ()
+    if not (Frontend.stopping st.fe) then sweep ()
   done
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                            *)
 
-let install_signals stop =
-  (match Sys.signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
-  List.iter
-    (fun s ->
-      try Sys.set_signal s (Sys.Signal_handle (fun _ -> Atomic.set stop true))
-      with Invalid_argument _ | Sys_error _ -> ())
-    [ Sys.sigterm; Sys.sigint ]
-
 let run (cfg : config) =
   if cfg.workers = [] then Error "a router needs at least one --worker address"
   else
-    match Netio.listen cfg.addr with
-    | Error m ->
-        Error
-          (Printf.sprintf "cannot listen on %s: %s"
-             (Netio.addr_to_string cfg.addr) m)
-    | Ok lfd -> (
-        let http =
-          match cfg.metrics_addr with
-          | None -> Ok None
-          | Some addr ->
-              Result.map Option.some
-                (Http.start ~addr ~body:(fun () -> Tiling_obs.Openmetrics.render ()))
+    match
+      Frontend.start ~addr:cfg.addr ~max_line_bytes:cfg.max_line_bytes
+        ~metrics_addr:cfg.metrics_addr
+    with
+    | Error m -> Error m
+    | Ok fe ->
+        let st =
+          {
+            cfg;
+            fe;
+            workers = List.map Worker.make cfg.workers;
+            started_at = Unix.gettimeofday ();
+            received = Atomic.make 0;
+            forwarded = Atomic.make 0;
+            retried = Atomic.make 0;
+            backpressure = Atomic.make 0;
+            failed = Atomic.make 0;
+          }
         in
-        match http with
-        | Error m ->
-            (try Unix.close lfd with Unix.Unix_error _ -> ());
-            Error (Printf.sprintf "cannot start metrics listener: %s" m)
-        | Ok http ->
-            let stop = Atomic.make false in
-            install_signals stop;
-            let st =
-              {
-                cfg;
-                workers = List.map Worker.make cfg.workers;
-                coalesce = Coalesce.create ();
-                started_at = Unix.gettimeofday ();
-                stop;
-                clock = Mutex.create ();
-                conns = Hashtbl.create 16;
-                conn_threads = [];
-                received = Atomic.make 0;
-                forwarded = Atomic.make 0;
-                retried = Atomic.make 0;
-                backpressure = Atomic.make 0;
-                failed = Atomic.make 0;
-              }
-            in
-            set_up_gauge st;
-            let health = Thread.create (health_thread st) () in
-            Log.app (fun f ->
-                f "routing on %s for %d workers (pid %d)"
-                  (Netio.addr_to_string cfg.addr)
-                  (List.length st.workers) (Unix.getpid ()));
-            let next = ref 0 in
-            while not (Atomic.get st.stop) do
-              match Unix.select [ lfd ] [] [] 0.2 with
-              | [], _, _ -> ()
-              | _ -> (
-                  match Unix.accept ~cloexec:true lfd with
-                  | exception
-                      Unix.Unix_error
-                        ((Unix.EINTR | Unix.EAGAIN | Unix.ECONNABORTED), _, _) ->
-                      ()
-                  | fd, _ ->
-                      let conn =
-                        {
-                          fd;
-                          wlock = Mutex.create ();
-                          plock = Mutex.create ();
-                          idle = Condition.create ();
-                          pending = 0;
-                        }
-                      in
-                      let key =
-                        incr next;
-                        !next
-                      in
-                      Mutex.protect st.clock (fun () ->
-                          Hashtbl.replace st.conns key conn);
-                      let t =
-                        Thread.create
-                          (fun () ->
-                            serve_conn st conn;
-                            Mutex.protect st.clock (fun () ->
-                                Hashtbl.remove st.conns key))
-                          ()
-                      in
-                      st.conn_threads <- t :: st.conn_threads)
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            done;
-            Log.app (fun f -> f "draining");
-            (try Unix.close lfd with Unix.Unix_error _ -> ());
-            Option.iter Http.stop http;
-            Mutex.protect st.clock (fun () ->
-                Hashtbl.iter
-                  (fun _ c ->
-                    try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
-                    with Unix.Unix_error _ -> ())
-                  st.conns);
-            List.iter Thread.join st.conn_threads;
-            Thread.join health;
-            (match cfg.addr with
-            | Netio.Unix_sock p -> ( try Sys.remove p with Sys_error _ -> ())
-            | Netio.Tcp _ -> ());
-            Log.app (fun f -> f "stopped");
-            Ok ())
+        set_up_gauge st;
+        let health = Thread.create (health_thread st) () in
+        Log.app (fun f ->
+            f "routing on %s for %d workers (pid %d)"
+              (Netio.addr_to_string cfg.addr)
+              (List.length st.workers) (Unix.getpid ()));
+        (* In-flight forwards finish on their own before their readers
+           close; only the health thread needs stopping. *)
+        Frontend.serve fe ~dispatch:(dispatch st) ~drain:(fun () ->
+            Thread.join health);
+        Ok ()

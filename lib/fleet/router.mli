@@ -1,6 +1,6 @@
-(** The fleet front door: an NDJSON daemon that owns no scheduler and no
-    evaluations — it shards searching requests across worker daemons and
-    coalesces identical ones in flight.
+(** The fleet front door: a dispatch policy over
+    {!Tiling_server.Frontend} that owns no scheduler and no evaluations —
+    it shards searching requests across worker daemons.
 
     Topology and semantics (docs/SERVER.md "Fleet mode"):
 
@@ -8,10 +8,10 @@
       {!Rendezvous} hashing, so the same search always lands on the same
       node (warm store locality) and a worker loss re-homes only that
       worker's keys;
-    - {b coalescing} — concurrent identical requests
-      ({!Key.coalesce_key}) forward once; every member's envelope is the
-      worker's response with its own id swapped in and
-      ["coalesced": true] raised;
+    - {b coalescing} — none here: concurrent identical requests share a
+      shard key, so they reach the same worker, whose scheduler
+      evaluates once and flags every member ["coalesced": true].  The
+      router only swaps each caller's id into the worker's envelope;
     - {b failover} — a transport failure (connection refused, EOF from a
       killed worker) marks the node down and replays the request on the
       next node in rendezvous order; the client sees one successful
@@ -24,14 +24,16 @@
       [health_period_s] under [io_timeout_s]; the forward path also
       updates health opportunistically.
 
-    [stats], [metrics] and [shutdown] are answered by the router itself
-    ([stats] carries ["role": "router"], per-worker health and
-    forwarding counters).  Unknown methods are forwarded: the worker's
-    own [unknown_method] reply keeps router and worker decoupled.
+    [stats] is answered by the router itself (["role": "router"],
+    per-worker health and forwarding counters), [metrics] and
+    [shutdown] by the shared front end.  Unknown methods are forwarded:
+    the worker's own [unknown_method] reply keeps router and worker
+    decoupled.
 
     Metrics: [fleet.router.requests] / [.forwarded] / [.retries] /
-    [.backpressure] / [.failed], the [fleet.workers.up] gauge, plus
-    [fleet.coalesce.*] from {!Coalesce}. *)
+    [.backpressure] / [.failed], the [fleet.workers.up] gauge, plus the
+    front end's [server.connections*], [server.protocol.bad_lines] and
+    [server.metrics.scrapes]. *)
 
 type config = {
   addr : Tiling_util.Netio.addr;
@@ -48,6 +50,6 @@ val default_config : config
 
 val run : config -> (unit, string) result
 (** Serve until SIGTERM/SIGINT or a [shutdown] request, then drain:
-    stop accepting, let in-flight forwards finish, join every thread.
-    [Error] covers setup failures (bind, metrics listener, empty worker
-    list). *)
+    stop accepting, stop the health thread, let in-flight forwards
+    finish.  [Error] covers setup failures (bind, metrics listener,
+    empty worker list). *)

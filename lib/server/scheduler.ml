@@ -9,10 +9,9 @@ let m_timeout = Metrics.counter "server.requests.timeout"
 let m_latency = Metrics.histogram "server.request_ns"
 let g_depth = Metrics.gauge "server.queue.depth"
 
-(* Shared with the fleet router's Coalesce table: the registry interns by
-   name, so both layers bump the same instruments and a process hosting
-   both (tests, the fanout bench) still counts each coalesce event once —
-   a request group merged at the router reaches a worker as one request. *)
+(* Named for fleet mode, where the scheduler is the only coalescing layer:
+   identical requests through a router meet on one worker (same shard
+   key) and are merged here. *)
 let m_coalesce_hits = Metrics.counter "fleet.coalesce.hits"
 let g_coalesce_waiters = Metrics.gauge "fleet.coalesce.waiters"
 

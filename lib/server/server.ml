@@ -6,11 +6,7 @@ module Netio = Tiling_util.Netio
 module Eval = Tiling_search.Eval
 module Memo = Tiling_search.Memo
 
-let m_accepted = Metrics.counter "server.connections.accepted"
-let m_bad_lines = Metrics.counter "server.protocol.bad_lines"
-let m_scrapes = Metrics.counter "server.metrics.scrapes"
 let m_progress = Metrics.counter "server.progress.sent"
-let g_connections = Metrics.gauge "server.connections"
 
 let log = Logs.Src.create "tiling.server" ~doc:"tiling daemon"
 
@@ -39,50 +35,15 @@ let default_config =
     metrics_addr = None;
   }
 
-(* JSON nesting in requests never legitimately exceeds a handful of
-   levels; a tight cap shuts the deep-nesting parser-recursion vector. *)
-let max_request_depth = 64
-
-type conn = {
-  fd : Unix.file_descr;
-  wlock : Mutex.t;  (* one response line at a time *)
-  plock : Mutex.t;  (* guards [pending] *)
-  idle : Condition.t;
-  mutable pending : int;  (* scheduler jobs that will still write to [fd] *)
-}
-
 type state = {
   cfg : config;
+  fe : Frontend.t;
   sched : Scheduler.t;
   store : Store.t option;
   started_at : float;
-  stop : bool Atomic.t;
-  clock : Mutex.t;
-  conns : (int, conn) Hashtbl.t;
-  mutable conn_threads : Thread.t list;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Connection bookkeeping                                               *)
-
-let reply conn j =
-  Mutex.protect conn.wlock (fun () ->
-      match Netio.write_line conn.fd (Json.to_string j) with
-      | Ok () -> ()
-      | Error m -> Log.debug (fun f -> f "dropping reply: %s" m))
-
-let conn_begin c = Mutex.protect c.plock (fun () -> c.pending <- c.pending + 1)
-
-let conn_end c =
-  Mutex.protect c.plock (fun () ->
-      c.pending <- c.pending - 1;
-      if c.pending = 0 then Condition.broadcast c.idle)
-
-let conn_wait_idle c =
-  Mutex.protect c.plock (fun () ->
-      while c.pending > 0 do
-        Condition.wait c.idle c.plock
-      done)
+let reply = Frontend.reply
 
 (* ------------------------------------------------------------------ *)
 (* Handlers.  Each handler validates [params] on the connection thread
@@ -369,7 +330,7 @@ let stats_json ?(events = 0) st =
           ] );
       ("latency_ns_histogram", Scheduler.latency_histogram ());
       ("inflight", Json.List inflight);
-      ("connections", Json.Int (Mutex.protect st.clock (fun () -> Hashtbl.length st.conns)));
+      ("connections", Json.Int (Frontend.connections st.fe));
       ("store", store);
     ]
     @
@@ -400,40 +361,6 @@ let dispatch st conn (req : Protocol.request) =
       | Ok events ->
           let events = Option.value events ~default:0 in
           reply conn (Protocol.ok_response ~id:req.id (stats_json ~events st)))
-  | "metrics" -> (
-      Metrics.incr m_scrapes;
-      match P.string req.params "format" with
-      | Error m ->
-          reply conn
-            (Protocol.error_response ~id:req.id (Protocol.err Protocol.Bad_request m))
-      | Ok (Some "json") ->
-          reply conn
-            (Protocol.ok_response ~id:req.id
-               (Json.Obj
-                  [
-                    ("format", Json.String "json");
-                    ("snapshot", Metrics.snapshot ());
-                  ]))
-      | Ok (None | Some "openmetrics") ->
-          reply conn
-            (Protocol.ok_response ~id:req.id
-               (Json.Obj
-                  [
-                    ("format", Json.String "openmetrics");
-                    ("body", Json.String (Tiling_obs.Openmetrics.render ()));
-                  ]))
-      | Ok (Some other) ->
-          reply conn
-            (Protocol.error_response ~id:req.id
-               (Protocol.err Protocol.Bad_request
-                  (Printf.sprintf
-                     "unknown format %S (expected openmetrics or json)" other))))
-  | "shutdown" ->
-      reply conn
-        (Protocol.ok_response ~id:req.id
-           (Json.Obj [ ("stopping", Json.Bool true) ]));
-      Log.info (fun f -> f "shutdown requested over the wire");
-      Atomic.set st.stop true
   | meth -> (
       match handler_for meth with
       | None ->
@@ -496,7 +423,7 @@ let dispatch st conn (req : Protocol.request) =
                 if trace || progress then Some (Span.start_trace ()) else None
               in
               let received_us = Span.now_us () in
-              conn_begin conn;
+              Frontend.conn_begin conn;
               let subscription =
                 match (tctx, progress) with
                 | Some ctx, true ->
@@ -537,12 +464,12 @@ let dispatch st conn (req : Protocol.request) =
                 | Ok r -> reply conn (Protocol.ok_response ~id ~coalesced r)
                 | Error e ->
                     reply conn (Protocol.error_response ~id ~coalesced e));
-                conn_end conn
+                Frontend.conn_end conn
               in
               let abandon () =
                 Option.iter Events.unsubscribe subscription;
                 Option.iter Span.discard_trace tctx;
-                conn_end conn
+                Frontend.conn_end conn
               in
               match
                 Scheduler.submit st.sched ?deadline_s ~label:req.meth
@@ -563,106 +490,33 @@ let dispatch st conn (req : Protocol.request) =
                           "daemon is draining; connect elsewhere")))))
 
 (* ------------------------------------------------------------------ *)
-(* Per-connection read loop                                             *)
-
-let salvage_id j = Option.value (Json.member "id" j) ~default:Json.Null
-
-let serve_conn st conn =
-  let r = Netio.reader conn.fd in
-  let rec loop () =
-    match Netio.read_line ~max_bytes:st.cfg.max_line_bytes r with
-    | `Eof -> ()
-    | `Too_long ->
-        (* The stream cannot be re-synchronised: answer and hang up. *)
-        Metrics.incr m_bad_lines;
-        reply conn
-          (Protocol.error_response ~id:Json.Null
-             (Protocol.err Protocol.Payload_too_large
-                (Printf.sprintf "request line exceeds %d bytes"
-                   st.cfg.max_line_bytes)))
-    | `Line line ->
-        if String.trim line = "" then loop ()
-        else begin
-          (match
-             Json.of_string ~max_depth:max_request_depth
-               ~max_size:st.cfg.max_line_bytes line
-           with
-          | Error m ->
-              Metrics.incr m_bad_lines;
-              reply conn
-                (Protocol.error_response ~id:Json.Null
-                   (Protocol.err Protocol.Bad_request ("invalid JSON: " ^ m)))
-          | Ok j -> (
-              match Protocol.request_of_json j with
-              | Error e ->
-                  Metrics.incr m_bad_lines;
-                  reply conn (Protocol.error_response ~id:(salvage_id j) e)
-              | Ok req -> dispatch st conn req));
-          loop ()
-        end
-  in
-  (try loop ()
-   with e ->
-     Log.err (fun f -> f "connection loop died: %s" (Printexc.to_string e)));
-  (* Jobs already admitted will still write here; wait them out so the
-     descriptor is never closed (and possibly reused) under them. *)
-  conn_wait_idle conn;
-  try Unix.close conn.fd with Unix.Unix_error _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Lifecycle                                                            *)
 
-let install_signals stop =
-  (match Sys.signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
-  List.iter
-    (fun s ->
-      try
-        Sys.set_signal s
-          (Sys.Signal_handle (fun _ -> Atomic.set stop true))
-      with Invalid_argument _ | Sys_error _ -> ())
-    [ Sys.sigterm; Sys.sigint ]
-
 let run cfg =
-  match Netio.listen cfg.addr with
-  | Error m -> Error (Printf.sprintf "cannot listen on %s: %s" (Netio.addr_to_string cfg.addr) m)
-  | Ok lfd -> (
-      let store =
-        match cfg.store_path with
-        | None -> Ok None
-        | Some path -> Result.map Option.some (Store.open_ ~path ())
-      in
-      match store with
+  let store =
+    match cfg.store_path with
+    | None -> Ok None
+    | Some path -> Result.map Option.some (Store.open_ ~path ())
+  in
+  match store with
+  | Error m -> Error (Printf.sprintf "cannot open store: %s" m)
+  | Ok store -> (
+      match
+        Frontend.start ~addr:cfg.addr ~max_line_bytes:cfg.max_line_bytes
+          ~metrics_addr:cfg.metrics_addr
+      with
       | Error m ->
-          (try Unix.close lfd with Unix.Unix_error _ -> ());
-          Error (Printf.sprintf "cannot open store: %s" m)
-      | Ok store -> (
-          let http =
-            match cfg.metrics_addr with
-            | None -> Ok None
-            | Some addr ->
-                Result.map Option.some
-                  (Http.start ~addr ~body:(fun () ->
-                       Metrics.incr m_scrapes;
-                       Tiling_obs.Openmetrics.render ()))
-          in
-          match http with
-          | Error m ->
-              (try Unix.close lfd with Unix.Unix_error _ -> ());
-              Option.iter Store.close store;
-              Error (Printf.sprintf "cannot start metrics listener: %s" m)
-          | Ok http ->
-          let stop = Atomic.make false in
-          install_signals stop;
+          Option.iter Store.close store;
+          Error m
+      | Ok fe ->
           let st =
             {
               cfg;
-              sched = Scheduler.create ~workers:cfg.workers ~capacity:cfg.capacity ();
+              fe;
+              sched =
+                Scheduler.create ~workers:cfg.workers ~capacity:cfg.capacity ();
               store;
               started_at = Unix.gettimeofday ();
-              stop;
-              clock = Mutex.create ();
-              conns = Hashtbl.create 16;
-              conn_threads = [];
             }
           in
           Log.app (fun f ->
@@ -672,62 +526,13 @@ let run cfg =
                 (match cfg.store_path with
                 | Some p -> Printf.sprintf ", store %s" p
                 | None -> ", no store"));
-          let next = ref 0 in
-          while not (Atomic.get st.stop) do
-            match Unix.select [ lfd ] [] [] 0.2 with
-            | [], _, _ -> ()
-            | _ -> (
-                match Unix.accept ~cloexec:true lfd with
-                | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.ECONNABORTED), _, _) -> ()
-                | fd, _ ->
-                    Metrics.incr m_accepted;
-                    let conn =
-                      {
-                        fd;
-                        wlock = Mutex.create ();
-                        plock = Mutex.create ();
-                        idle = Condition.create ();
-                        pending = 0;
-                      }
-                    in
-                    let key = incr next; !next in
-                    Mutex.protect st.clock (fun () ->
-                        Hashtbl.replace st.conns key conn;
-                        Metrics.set g_connections
-                          (float_of_int (Hashtbl.length st.conns)));
-                    let t =
-                      Thread.create
-                        (fun () ->
-                          serve_conn st conn;
-                          Mutex.protect st.clock (fun () ->
-                              Hashtbl.remove st.conns key;
-                              Metrics.set g_connections
-                                (float_of_int (Hashtbl.length st.conns))))
-                        ()
-                    in
-                    st.conn_threads <- t :: st.conn_threads)
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          done;
-          (* Graceful drain: no new connections, no new admissions, let
-             everything already admitted finish, then unblock readers. *)
-          Log.app (fun f -> f "draining");
-          (try Unix.close lfd with Unix.Unix_error _ -> ());
-          Option.iter Http.stop http;
-          Scheduler.drain st.sched;
-          Mutex.protect st.clock (fun () ->
-              Hashtbl.iter
-                (fun _ c ->
-                  try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
-                  with Unix.Unix_error _ -> ())
-                st.conns);
-          List.iter Thread.join st.conn_threads;
-          Option.iter
-            (fun s ->
-              Store.sync s;
-              Store.close s)
-            store;
-          (match cfg.addr with
-          | Netio.Unix_sock p -> ( try Sys.remove p with Sys_error _ -> ())
-          | Netio.Tcp _ -> ());
-          Log.app (fun f -> f "stopped");
-          Ok ()))
+          (* Every admitted job finishes before the readers are unblocked,
+             and nothing touches the store once the scheduler is drained. *)
+          Frontend.serve fe ~dispatch:(dispatch st) ~drain:(fun () ->
+              Scheduler.drain st.sched;
+              Option.iter
+                (fun s ->
+                  Store.sync s;
+                  Store.close s)
+                store);
+          Ok ())

@@ -1,9 +1,10 @@
-(** The tiling daemon: accept loop, request handlers, and lifecycle.
+(** The tiling daemon: request handlers and the result store, as a
+    dispatch policy over {!Frontend}.
 
     [run config] binds the configured address and serves until a
     [shutdown] request or a SIGTERM/SIGINT arrives, then drains: the
-    listener closes, queued requests finish, in-flight connections are
-    unblocked and joined, the result store is flushed and a Unix socket
+    listener closes, queued requests finish, the result store is flushed,
+    in-flight connections are unblocked and closed, and a Unix socket
     path is unlinked.  Malformed input — bad JSON, bad envelopes, bad
     parameters, oversized lines — is answered with a structured error (or
     at worst drops that one connection); it never takes the daemon down.

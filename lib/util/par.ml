@@ -4,12 +4,6 @@ module Span = Tiling_obs.Span
 let chunk_ns = Metrics.histogram "par.chunk_ns"
 let chunks = Metrics.counter "par.chunks"
 
-type strategy = Pool | Spawn
-
-let strategy_ref = Atomic.make Pool
-let set_strategy s = Atomic.set strategy_ref s
-let strategy () = Atomic.get strategy_ref
-
 (* Aim for several chunks per domain so the dispenser can load-balance
    work items of uneven cost, but never less than one item per chunk. *)
 let chunks_per_domain = 4
@@ -42,55 +36,23 @@ let run_range f xs results failure c lo hi =
       timed
   else timed ()
 
-let finish results failure =
-  (match Atomic.get failure with Some e -> raise e | None -> ());
-  Array.map
-    (function Some v -> v | None -> assert false (* all chunks covered *))
-    results
-
-(* The pre-pool strategy, kept as the measurable baseline for
-   [bench eval-throughput]: [d - 1] fresh domains spawned and joined per
-   call, one static block per domain. *)
-let map_spawn ~domains f xs =
-  let n = Array.length xs in
-  let d = min domains n in
-  let results = Array.make n None in
-  let failure = Atomic.make None in
-  let run_block k =
-    let lo = k * n / d and hi = (k + 1) * n / d in
-    run_range f xs results failure k lo hi
-  in
-  let ctx = Span.current () in
-  let workers =
-    Array.init (d - 1) (fun k ->
-        Domain.spawn (fun () ->
-            match ctx with
-            | Some _ -> Span.with_ambient ctx (fun () -> run_block (k + 1))
-            | None -> run_block (k + 1)))
-  in
-  run_block 0;
-  Array.iter Domain.join workers;
-  finish results failure
-
-let map_pool ~domains f xs =
-  let n = Array.length xs in
-  let chunk = max 1 (n / (domains * chunks_per_domain)) in
-  let nchunks = (n + chunk - 1) / chunk in
-  let results = Array.make n None in
-  let failure = Atomic.make None in
-  let run_chunk c =
-    let lo = c * chunk in
-    run_range f xs results failure c lo (min n (lo + chunk))
-  in
-  Pool.run ~helpers:(domains - 1) ~nchunks run_chunk;
-  finish results failure
-
 let map ~domains f xs =
   let n = Array.length xs in
   if domains <= 1 || n <= 1 || Pool.in_worker () then Array.map f xs
-  else
-    match Atomic.get strategy_ref with
-    | Pool -> map_pool ~domains f xs
-    | Spawn -> map_spawn ~domains f xs
+  else begin
+    let chunk = max 1 (n / (domains * chunks_per_domain)) in
+    let results = Array.make n None in
+    let failure = Atomic.make None in
+    let run_chunk c =
+      let lo = c * chunk in
+      run_range f xs results failure c lo (min n (lo + chunk))
+    in
+    let nchunks = (n + chunk - 1) / chunk in
+    Pool.run ~helpers:(domains - 1) ~nchunks run_chunk;
+    (match Atomic.get failure with Some e -> raise e | None -> ());
+    Array.map
+      (function Some v -> v | None -> assert false (* all chunks covered *))
+      results
+  end
 
 let recommended_domains () = Pool.default_size ()

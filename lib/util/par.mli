@@ -4,11 +4,9 @@
     batches) out over cores: each work unit builds its own solver state,
     so the units are independent and embarrassingly parallel.
 
-    Since the persistent-pool rework, [map] is a thin facade over
-    {!Pool}: worker domains are spawned once per process and fed small
-    self-scheduled chunks, instead of [d - 1] fresh domains being spawned
-    and joined on every call.  The pre-pool behaviour is kept as the
-    {!Spawn} strategy so benchmarks can measure the difference. *)
+    [map] is a thin facade over {!Pool}: worker domains are spawned once
+    per process and fed small self-scheduled chunks, instead of [d - 1]
+    fresh domains being spawned and joined on every call. *)
 
 val map : domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~domains f xs] is [Array.map f xs], computed by [domains] domains
@@ -19,8 +17,7 @@ val map : domains:int -> ('a -> 'b) -> 'a array -> 'b array
     in the caller once the batch has completed.
 
     Results are written by item index, so the output — and everything
-    downstream of it — is byte-identical for any [domains] value and
-    either strategy.
+    downstream of it — is byte-identical for any [domains] value.
 
     When the {!Tiling_obs.Metrics} registry is enabled, each parallel
     chunk records its wall-clock into the [par.chunk_ns] histogram and
@@ -28,17 +25,6 @@ val map : domains:int -> ('a -> 'b) -> 'a array -> 'b array
     enabled, each chunk emits a [par.chunk] span on its domain's track.
     The two instrumentation paths are independent: neither pays the
     other's cost. *)
-
-type strategy =
-  | Pool  (** persistent worker-domain pool, dynamic chunking (default) *)
-  | Spawn  (** legacy: spawn and join [d - 1] domains per call *)
-
-val set_strategy : strategy -> unit
-(** Select how [map] distributes batches.  [Spawn] exists for baseline
-    measurements ([bench eval-throughput]) and A/B debugging; results are
-    identical either way. *)
-
-val strategy : unit -> strategy
 
 val recommended_domains : unit -> int
 (** A sensible default degree of parallelism: the [TILING_DOMAINS]

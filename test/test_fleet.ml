@@ -1,7 +1,7 @@
-(* Fleet mode: rendezvous placement, client backoff, request keys, the
-   coalescing table, scheduler-level coalescing, the shared warm tier
-   under concurrent writer processes, pipelined client demux, and the
-   router's coalesce/failover path against live worker daemons. *)
+(* Fleet mode: rendezvous placement, client backoff, request keys,
+   scheduler-level coalescing, the shared warm tier under concurrent
+   writer processes, pipelined client demux, and the router's
+   coalesce/failover path against live worker daemons. *)
 
 module Json = Tiling_obs.Json
 module Netio = Tiling_util.Netio
@@ -14,7 +14,6 @@ module Memo = Tiling_search.Memo
 module Rendezvous = Tiling_fleet.Rendezvous
 module Backoff = Tiling_fleet.Backoff
 module Key = Tiling_fleet.Key
-module Coalesce = Tiling_fleet.Coalesce
 module Router = Tiling_fleet.Router
 
 let get path json =
@@ -137,10 +136,7 @@ let test_keys () =
   Alcotest.(check string) "field order never splits the shard key"
     (Key.shard_key ~meth:"tile" ~params:(params true))
     (Key.shard_key ~meth:"tile" ~params:(params false));
-  Alcotest.(check bool) "field order never splits the coalesce key" true
-    (Key.coalesce_key ~meth:"tile" ~params:(params true)
-    = Key.coalesce_key ~meth:"tile" ~params:(params false));
-  (* delivery options are invisible to placement but split coalescing *)
+  (* delivery options are invisible to placement *)
   let traced =
     Json.Obj
       [
@@ -154,15 +150,6 @@ let test_keys () =
   Alcotest.(check string) "a traced twin keeps the same owner"
     (Key.shard_key ~meth:"tile" ~params:(params true))
     (Key.shard_key ~meth:"tile" ~params:traced);
-  Alcotest.(check bool) "a traced twin never shares an envelope" true
-    (Key.coalesce_key ~meth:"tile" ~params:traced
-    <> Key.coalesce_key ~meth:"tile" ~params:(params true));
-  let progressive =
-    Json.Obj
-      [ ("progress", Json.Bool true); ("kernel", Json.String "mm"); ("n", Json.Int 16) ]
-  in
-  Alcotest.(check bool) "progress streams never coalesce" true
-    (Key.coalesce_key ~meth:"tile" ~params:progressive = None);
   Alcotest.(check bool) "the method is part of the key" true
     (Key.shard_key ~meth:"tile" ~params:(params true)
     <> Key.shard_key ~meth:"pad-tile" ~params:(params true));
@@ -177,41 +164,6 @@ let test_keys () =
   Alcotest.(check string) "recursive canonicalisation"
     {|{"a":[2,1],"b":{"x":2,"y":1}}|}
     (Json.to_string (Key.canon nested))
-
-(* ------------------------------------------------------------------ *)
-(* The coalescing table                                                 *)
-
-let test_coalesce_table () =
-  let t = Coalesce.create () in
-  let log = ref [] in
-  let w name ~coalesced v = log := (name, coalesced, v) :: !log in
-  Alcotest.(check bool) "first join leads" true
-    (Coalesce.join t ~key:"k" (w "leader") = `Leader);
-  Alcotest.(check bool) "second join attaches" true
-    (Coalesce.join t ~key:"k" (w "w1") = `Attached);
-  Alcotest.(check bool) "third join attaches" true
-    (Coalesce.join t ~key:"k" (w "w2") = `Attached);
-  Alcotest.(check bool) "a distinct key opens its own group" true
-    (Coalesce.join t ~key:"solo" (w "solo") = `Leader);
-  Alcotest.(check int) "two open groups" 2 (Coalesce.inflight t);
-  Alcotest.(check int) "two waiters attached" 2 (Coalesce.waiting t);
-  Alcotest.(check int) "the group of three settles together" 3
-    (Coalesce.settle t ~key:"k" 42);
-  Alcotest.(check (list (triple string bool int)))
-    "join order, leader first, every member flagged"
-    [ ("leader", true, 42); ("w1", true, 42); ("w2", true, 42) ]
-    (List.rev !log);
-  log := [];
-  Alcotest.(check int) "a group of one settles alone" 1
-    (Coalesce.settle t ~key:"solo" 7);
-  Alcotest.(check (list (triple string bool int)))
-    "a lone leader is not flagged"
-    [ ("solo", false, 7) ]
-    (List.rev !log);
-  Alcotest.(check int) "settling twice is a no-op" 0 (Coalesce.settle t ~key:"k" 0);
-  Alcotest.(check int) "two attach hits counted" 2 (Coalesce.hits t);
-  Alcotest.(check int) "no open groups left" 0 (Coalesce.inflight t);
-  Alcotest.(check int) "no waiters left" 0 (Coalesce.waiting t)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler-level coalescing                                           *)
@@ -616,6 +568,15 @@ let test_daemon_coalescing_e2e () =
 (* ------------------------------------------------------------------ *)
 (* Router end-to-end: coalescing, crash failover, drain                 *)
 
+(* Ask the daemon or router on [sock] to stop, ignoring every error: it
+   may already be gone. *)
+let shutdown_quietly sock =
+  match Client.connect (Netio.Unix_sock sock) with
+  | Error _ -> ()
+  | Ok c ->
+      (try ignore (Client.call c ~meth:"shutdown" ~params:[]) with _ -> ());
+      Client.close c
+
 let spawn_worker ~sock ~store =
   let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   Fun.protect ~finally:(fun () -> Unix.close null) @@ fun () ->
@@ -675,6 +636,9 @@ let test_router_e2e () =
       (try Unix.kill pid2 Sys.sigkill with Unix.Unix_error _ -> ());
       (try reap pid1 with Unix.Unix_error _ -> ());
       (try reap pid2 with Unix.Unix_error _ -> ());
+      (* the router stops only on a signal or a wire shutdown: stop it
+         here too, or a failed assertion above hangs the join *)
+      shutdown_quietly rsock;
       Thread.join router;
       rm_store store;
       List.iter rm_f [ w1; w2; rsock ])
@@ -683,8 +647,8 @@ let test_router_e2e () =
   let first = call_ok client ~meth:"tile" ~params:(tile_params 21 12) in
   Alcotest.(check bool) "forwarded tile carries tiles" true
     (get [ "outcome"; "tiles" ] first <> None);
-  (* duplicate concurrent requests coalesce at the router: one forward,
-     every sharing member flagged *)
+  (* duplicate concurrent requests share a shard key, so they meet on
+     one worker, whose scheduler evaluates once and flags every member *)
   let params = tile_params 22 12 in
   let results = Array.make 4 None in
   let threads =
@@ -723,8 +687,13 @@ let test_router_e2e () =
     (match get [ "role" ] stats with
     | Some (Json.String r) -> r
     | _ -> "?");
+  let worker_coalesced sock =
+    let c = connect sock in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    get_int [ "requests"; "coalesced" ] (call_ok c ~meth:"stats" ~params:[])
+  in
   Alcotest.(check bool) "coalesce hits recorded" true
-    (get_int [ "requests"; "coalesced" ] stats >= 1);
+    (worker_coalesced w1 + worker_coalesced w2 >= 1);
   (* kill a worker mid-request: the router must re-answer from the
      survivor with no client-visible error *)
   let mid_params = tile_params 23 16 in
@@ -777,6 +746,65 @@ let test_router_e2e () =
   match Unix.waitpid [] survivor_pid with
   | _, Unix.WEXITED 0 -> ()
   | _, _ -> Alcotest.fail "surviving worker did not drain cleanly"
+
+(* ------------------------------------------------------------------ *)
+(* Traced twins through the router never share an answer                *)
+
+let test_router_traced_twins () =
+  let w1 = temp_path ".w1.sock"
+  and w2 = temp_path ".w2.sock"
+  and rsock = temp_path ".router.sock" in
+  let daemon sock =
+    Thread.create Server.run
+      { Server.default_config with addr = Netio.Unix_sock sock }
+  in
+  let workers = [ daemon w1; daemon w2 ] in
+  List.iter await_socket [ w1; w2 ];
+  let router =
+    Thread.create Router.run
+      {
+        Router.default_config with
+        addr = Netio.Unix_sock rsock;
+        workers = [ Netio.Unix_sock w1; Netio.Unix_sock w2 ];
+        health_period_s = 60.;
+      }
+  in
+  await_socket rsock;
+  let client = connect rsock in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close client;
+      List.iter shutdown_quietly [ rsock; w1; w2 ];
+      Thread.join router;
+      List.iter Thread.join workers)
+  @@ fun () ->
+  (* identical traced requests, sent at once, reach the same worker; each
+     must come back with its own span tree and unflagged *)
+  let params =
+    [
+      ("kernel", Json.String "mm");
+      ("n", Json.Int 12);
+      ("seed", Json.Int 24);
+      ("trace", Json.Bool true);
+    ]
+  in
+  let twin = ref (Error "never returned") in
+  let call () = Client.call client ~meth:"tile" ~params in
+  let t = Thread.create (fun () -> twin := call ()) () in
+  let mine = call () in
+  Thread.join t;
+  let trace_id = function
+    | Error m -> Alcotest.failf "traced twin transport: %s" m
+    | Ok e -> (
+        Alcotest.(check bool) "a traced request is never flagged coalesced"
+          true
+          (Json.member "coalesced" e = None);
+        match Client.result_of_response e with
+        | Ok r -> get_int [ "trace"; "trace_id" ] r
+        | Error err -> Alcotest.failf "traced twin: %s" err.Protocol.message)
+  in
+  Alcotest.(check bool) "each twin carries its own trace" true
+    (trace_id mine <> trace_id !twin)
 
 (* ------------------------------------------------------------------ *)
 (* tiler request --retries against a saturated daemon                   *)
@@ -893,8 +921,8 @@ let suite =
       test_backoff;
     Alcotest.test_case "request keys: canonical, delivery-option aware" `Quick
       test_keys;
-    Alcotest.test_case "coalesce table: groups, order, flags" `Quick
-      test_coalesce_table;
+    Alcotest.test_case "router: traced twins keep their own traces" `Quick
+      test_router_traced_twins;
     Alcotest.test_case "scheduler coalesces identical in-flight requests"
       `Quick test_scheduler_coalescing;
     Alcotest.test_case "store: two handles share one log" `Quick

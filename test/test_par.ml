@@ -124,22 +124,6 @@ let test_domains_env_override () =
       Alcotest.(check bool) "empty override ignored" true
         (Par.recommended_domains () >= 1))
 
-let test_spawn_strategy_equivalent () =
-  let xs = Array.init 500 Fun.id in
-  let f x = (x * 3) lxor 7 in
-  Fun.protect
-    ~finally:(fun () -> Par.set_strategy Par.Pool)
-    (fun () ->
-      Par.set_strategy Par.Spawn;
-      Alcotest.(check bool) "strategy switched" true
-        (Par.strategy () = Par.Spawn);
-      let spawn = Par.map ~domains:4 f xs in
-      Par.set_strategy Par.Pool;
-      Alcotest.(check (array int)) "spawn = pool = sequential" (Array.map f xs)
-        spawn;
-      Alcotest.(check (array int)) "pool agrees" (Array.map f xs)
-        (Par.map ~domains:4 f xs))
-
 let test_evaluate_all_domains_equivalent () =
   (* The full candidate-evaluation service must be byte-identical whether
      the batch runs sequentially or fanned out over eight pool workers. *)
@@ -175,8 +159,6 @@ let suite =
     Alcotest.test_case "pool shutdown idempotent" `Quick
       test_pool_shutdown_idempotent;
     Alcotest.test_case "TILING_DOMAINS override" `Quick test_domains_env_override;
-    Alcotest.test_case "spawn strategy equivalence" `Quick
-      test_spawn_strategy_equivalent;
     Alcotest.test_case "evaluate_all domain invariance" `Quick
       test_evaluate_all_domains_equivalent;
   ]
