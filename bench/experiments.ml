@@ -543,8 +543,7 @@ let eval_throughput () =
     [
       ("MM", 200, Tiling_search.Backend.cme_sample, batches, dm8k);
       ("SOR", 500, Tiling_search.Backend.cme_sample, batches, dm8k);
-      (* Triangular datapoint: the affine latest-source path instead of the
-         reuse-vector machinery — the throughput cost of exactness on
+      (* Triangular datapoint: the throughput cost of exactness on
          non-rectangular spaces. *)
       ("LU", 100, Tiling_search.Backend.cme_sample, batches, dm8k);
       (* Same-series baseline for the symbolic MM_64 rows below. *)

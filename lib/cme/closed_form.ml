@@ -688,7 +688,7 @@ let estimate ?(budget = 2_000_000) ?(mode = Census) ?(domains = 1) engine =
     let forms = Array.map (Nest.address_form nest) nest.Nest.refs in
     let line = cache.Tiling_cache.Config.line in
     let modulus = cache.Tiling_cache.Config.sets * line in
-    let reuse = Engine.reuse_vectors engine in
+    let reuse = Tiling_reuse.Vectors.of_nest nest ~line in
     let reuse_max_deltas = max_deltas (Nest.depth nest) reuse in
     let boxes = Path.full_space nest in
     let plans = List.map (plan_box forms modulus reuse_max_deltas) boxes in

@@ -113,77 +113,17 @@ let shared_residue_size = Shared_residues.length
 
 type outcome = Hit | Compulsory_miss | Replacement_miss
 
-(* Per-nest constants of the latest-source search (see [latest_source]). *)
-type latest = {
-  collapse : bool array;
-      (* dims that move neither an address nor a deeper bound *)
-  rem_lo : int array array;
-  rem_hi : int array array;
-      (* [rem_lo.(b).(l)], [rem_hi.(b).(l)]: extreme contribution of dims
-         [>= l] to reference [b]'s address over the static hull *)
-}
-
 type t = {
   nest : Nest.t;
   cache : Tiling_cache.Config.t;
   forms : Affine.t array;
-  reuse : Tiling_reuse.Vectors.t list array;
   modulus : int;  (* sets * line: addresses congruent mod this share a set *)
-  tile_pairs : (int * int * int * int) array;
-      (* (elem dim, ctrl dim, lower bound, tile) for every tiled loop pair *)
-  latest : latest option;
-      (* [Some] iff some loop has affine bounds: reuse sources then come
-         from the exact latest-source search; rectangular nests keep the
-         vector path *)
+  static_lo : int array;
+  static_hi : int array;  (* per-dim bounding interval of the loop values *)
   memo : ((int * int) list, Residue_set.t) Hashtbl.t;
   window_cap : int;
   mutable fallbacks : int;
 }
-
-let tile_pairs_of nest =
-  let pairs = ref [] in
-  Array.iteri
-    (fun e (loop : Nest.loop) ->
-      match loop.Nest.shape with
-      | Nest.Tile_elem { ctrl; tile; _ } | Nest.Tile_elem_affine { ctrl; tile; _ }
-        ->
-          (match nest.Nest.loops.(ctrl).Nest.shape with
-          | Nest.Tile_ctrl { lo; _ } -> pairs := (e, ctrl, lo, tile) :: !pairs
-          | _ -> assert false)
-      | Nest.Range _ | Nest.Range_affine _ | Nest.Tile_ctrl _ -> ())
-    nest.Nest.loops;
-  Array.of_list !pairs
-
-let latest_of nest forms =
-  let d = Nest.depth nest in
-  let nrefs = Array.length forms in
-  let slo, shi = Nest.static_bounds nest in
-  let deps = Nest.affine_deps nest in
-  let collapse =
-    Array.init d (fun l ->
-        let influences =
-          (* value changes some deeper bound: affine dependence or tile
-             window *)
-          deps.(l)
-          ||
-          match nest.Nest.loops.(l).Nest.shape with
-          | Nest.Tile_ctrl _ -> true
-          | _ -> false
-        in
-        let addr_relevant = Array.exists (fun f -> Affine.coeff f l <> 0) forms in
-        (not influences) && not addr_relevant)
-  in
-  let rem_lo = Array.make_matrix nrefs (d + 1) 0 in
-  let rem_hi = Array.make_matrix nrefs (d + 1) 0 in
-  for b = 0 to nrefs - 1 do
-    for l = d - 1 downto 0 do
-      let c = Affine.coeff forms.(b) l in
-      let x = c * slo.(l) and y = c * shi.(l) in
-      rem_lo.(b).(l) <- rem_lo.(b).(l + 1) + min x y;
-      rem_hi.(b).(l) <- rem_hi.(b).(l + 1) + max x y
-    done
-  done;
-  { collapse; rem_lo; rem_hi }
 
 let create ?(window_cap = 512) nest cache =
   Tiling_obs.Span.with_ "cme.engine.create"
@@ -196,15 +136,14 @@ let create ?(window_cap = 512) nest cache =
       Metrics.incr m_engines;
       let line = cache.Tiling_cache.Config.line in
       let forms = Array.map (fun r -> Nest.address_form nest r) nest.Nest.refs in
+      let static_lo, static_hi = Nest.static_bounds nest in
       {
         nest;
         cache;
         forms;
-        reuse = Tiling_reuse.Vectors.of_nest nest ~line;
         modulus = cache.Tiling_cache.Config.sets * line;
-        tile_pairs = tile_pairs_of nest;
-        latest =
-          (if Nest.has_affine nest then Some (latest_of nest forms) else None);
+        static_lo;
+        static_hi;
         memo = Hashtbl.create 256;
         window_cap;
         fallbacks = 0;
@@ -213,7 +152,6 @@ let create ?(window_cap = 512) nest cache =
 let nest t = t.nest
 let cache t = t.cache
 let window_cap t = t.window_cap
-let reuse_vectors t = t.reuse
 let fallback_count t = t.fallbacks
 let memo_size t = Hashtbl.length t.memo
 
@@ -297,6 +235,10 @@ let lattice_hits ~c ~g a b =
   if b < a then false
   else if g = 0 then a <= c && c <= b
   else Intmath.multiples_in ~lo:(a - c) ~hi:(b - c) g > 0
+
+(* Recursion steps allowed to one interval query, or to one segment's
+   window walk. *)
+let interval_fuel = 4096
 
 (* Exact query: does the image of [const + generators] intersect [a, b]?
    [fuel] bounds the recursion; on exhaustion we answer with the dense
@@ -443,7 +385,7 @@ let count_interfering t ~set ~line_a ~cap segments =
               done
             end
             else begin
-              let fuel = ref 4096 in
+              let fuel = ref interval_fuel in
               let m = ref m_lo in
               while Hashtbl.length found < cap && !m <= m_hi do
                 if !m <> m0 then begin
@@ -492,299 +434,233 @@ let segments_for_path t ~src ~src_ref ~dst ~dst_ref =
     done;
   !segs
 
-(* ------------------------------------------------------------------ *)
-(* Source normalisation.  A reuse vector only hints at *a* previous access
-   of the line; the realised reuse is from the *latest* one, which shortens
-   the interference path.  Starting from [src = point - delta] (already
-   checked to be in space and on the same line), we push the source as late
-   as possible without leaving the line or overtaking the destination:
-
-   - loop variables the source reference's address does not depend on are
-     raised to their upper bound (a tile-control variable whose element
-     variable is address-relevant is instead pinned to the element's tile);
-   - the innermost variable with a sub-line stride slides forward within
-     the memory line.
-
-   Only dimensions after the vector's leading component move, so the
-   source stays lexicographically before the destination. *)
-
-let normalise_source t ~src_form ~line_a src ~dest ~first_nz =
-  let nest = t.nest in
-  let d = Nest.depth nest in
-  let l_bytes = t.cache.Tiling_cache.Config.line in
-  let coeff q = Affine.coeff src_form q in
-  for q = first_nz + 1 to d - 1 do
-    if coeff q = 0 then begin
-      match nest.Nest.loops.(q).shape with
-      | Nest.Tile_ctrl { lo; hi = _; tile } ->
-          (* Find the element dim; if its value is pinned by the address,
-             the control variable must stay on that element's tile. *)
-          let elem = ref (-1) in
-          Array.iteri
-            (fun e (loop : Nest.loop) ->
-              match loop.shape with
-              | Nest.Tile_elem te when te.ctrl = q -> elem := e
-              | _ -> ())
-            nest.Nest.loops;
-          let e = !elem in
-          if e >= 0 && coeff e <> 0 then
-            src.(q) <- lo + ((src.(e) - lo) / tile * tile)
-          else begin
-            let lo', hi', step = Nest.bounds_at nest src q in
-            src.(q) <- lo' + ((hi' - lo') / step * step)
-          end
-      | Nest.Range _ | Nest.Tile_elem _ ->
-          let lo', hi', step = Nest.bounds_at nest src q in
-          src.(q) <- lo' + ((hi' - lo') / step * step)
-      | Nest.Range_affine _ | Nest.Tile_elem_affine _ ->
-          assert false (* affine nests take the latest-source search *)
-    end
-  done;
-  (* Slide the innermost sub-line-stride dimension within the line.  When
-     that dimension is the vector's leading one, cap the slide so the source
-     stays strictly before the destination. *)
-  let rec find_slide q =
-    if q < first_nz then None
-    else
-      let c = coeff q in
-      if c <> 0 && abs c < l_bytes then Some (q, c) else find_slide (q - 1)
-  in
-  (match find_slide (d - 1) with
-  | None -> ()
-  | Some (q, c) ->
-      let addr = Affine.eval src_form src in
-      let line_end = ((line_a + 1) * l_bytes) - 1 in
-      let line_start = line_a * l_bytes in
-      let dv =
-        if c > 0 then (line_end - addr) / c else (addr - line_start) / -c
-      in
-      let _, hi, step = Nest.bounds_at t.nest src q in
-      let hi = if q = first_nz then min hi (dest.(q) - 1) else hi in
-      (* Slide along the loop's own lattice only: whole steps forward,
-         never past the loop bound nor (for the leading dimension) the
-         destination — an off-lattice source would fabricate a phantom
-         iteration and corrupt the interference path. *)
-      let target =
-        min
-          (src.(q) + (dv / step * step))
-          (src.(q) + (Intmath.floor_div (hi - src.(q)) step * step))
-      in
-      if target > src.(q) then src.(q) <- target)
-
-(* Lexicographic (execution-order) predecessor of a point, or [None] at
-   the very first iteration: decrement the deepest decrementable loop and
-   reset everything deeper to its upper bound under the new prefix.  Under
-   affine bounds a new prefix can leave an inner range empty; filling then
-   fails and the decrement continues (backtracking outward as needed). *)
-let exec_pred nest point =
-  let d = Nest.depth nest in
-  let p = Array.copy point in
-  let fill q0 =
-    let ok = ref true in
-    let q = ref q0 in
-    while !ok && !q < d do
-      let lo, hi, step = Nest.bounds_at nest p !q in
-      if hi < lo then ok := false
-      else begin
-        p.(!q) <- lo + ((hi - lo) / step * step);
-        incr q
-      end
-    done;
-    !ok
-  in
-  let rec try_dim l =
-    if l < 0 then None
-    else begin
-      let lo, _, step = Nest.bounds_at nest p l in
-      if p.(l) - step >= lo then begin
-        p.(l) <- p.(l) - step;
-        if fill (l + 1) then Some p else try_dim l
-      end
-      else try_dim (l - 1)
-    end
-  in
-  try_dim (d - 1)
-
-(* ------------------------------------------------------------------ *)
-(* Exact latest-source search for affine nests.
-
-   Triangular kernels reuse the same array through references that are not
-   uniformly generated — LU touches [a] both as [a(i,k)] and [a(i,j)] — so
-   no constant reuse vector reaches the cross-iteration source.  For affine
-   nests the static vector machinery is replaced by an exact per-point
-   search: candidate source points are enumerated in descending execution
-   order (outermost dimension first, each walking its dynamic lattice
-   downward), pruning any partial assignment whose address image cannot
-   reach the destination's memory line for any reference.  The first
-   complete point found carries the latest previous access to the line —
-   exactly the reuse source the CMEs want.  Any previous same-line access
-   makes the Hit test sound (LRU residency is measured from the access
-   itself); the latest one makes it exact.
-
-   Dimensions that influence neither any address nor any deeper bound are
-   collapsed to one representative value per subtree, since all their
-   values are equivalent.  These flags and the pruning bounds depend on the
-   nest alone, so [create] computes them once ([latest_of]).  The search
-   is budgeted; exhaustion counts a fallback and conservatively reports no
-   source. *)
-
-exception Found_src of int array * int
-exception Budget
-
-let latest_source t lat ~dst ~line_a =
-  let nest = t.nest in
-  let d = Nest.depth nest in
-  let l_bytes = t.cache.Tiling_cache.Config.line in
-  let lo_addr = line_a * l_bytes in
-  let hi_addr = lo_addr + l_bytes - 1 in
-  let nrefs = Array.length t.forms in
-  let { collapse; rem_lo; rem_hi } = lat in
-  let partial = Array.init nrefs (fun b -> t.forms.(b).Affine.const) in
-  let feasible l =
-    let ok = ref false in
-    for b = 0 to nrefs - 1 do
-      if
-        (not !ok)
-        && partial.(b) + rem_lo.(b).(l) <= hi_addr
-        && partial.(b) + rem_hi.(b).(l) >= lo_addr
-      then ok := true
-    done;
-    !ok
-  in
-  let src = Array.make d 0 in
-  let budget = ref 200_000 in
-  let rec go l tight =
-    decr budget;
-    if !budget <= 0 then raise Budget;
-    if l = d then begin
-      (* A tight leaf is [dst] itself; same-point earlier references are
-         covered by the predecessor probe in [scan_sources]. *)
-      if not tight then
-        for b = nrefs - 1 downto 0 do
-          if partial.(b) >= lo_addr && partial.(b) <= hi_addr then
-            raise (Found_src (src, b))
-        done
-    end
-    else begin
-      let lo, hi, step = Nest.bounds_at nest src l in
-      if hi >= lo then begin
-        let top = lo + ((hi - lo) / step * step) in
-        let start = if tight then min top dst.(l) else top in
-        let v = ref start in
-        let continue_ = ref true in
-        while !continue_ && !v >= lo do
-          src.(l) <- !v;
-          for b = 0 to nrefs - 1 do
-            partial.(b) <- partial.(b) + (Affine.coeff t.forms.(b) l * !v)
-          done;
-          let tight' = tight && !v = dst.(l) in
-          if feasible (l + 1) then go (l + 1) tight';
-          for b = 0 to nrefs - 1 do
-            partial.(b) <- partial.(b) - (Affine.coeff t.forms.(b) l * !v)
-          done;
-          (* A collapsed dimension needs at most one tight and one
-             non-tight representative. *)
-          if collapse.(l) && not tight' then continue_ := false
-          else v := !v - step
-        done
-      end
-    end
-  in
-  match go 0 true with
-  | () -> None
-  | exception Found_src (p, b) -> Some (p, b)
-  | exception Budget ->
-      t.fallbacks <- t.fallbacks + 1;
-      Metrics.incr m_fallbacks;
-      None
-
 (* Memory line of reference [ref_id]'s access at [point]. *)
 let line_of t point ref_id =
   Intmath.floor_div (Affine.eval t.forms.(ref_id) point)
     t.cache.Tiling_cache.Config.line
 
-(* The static reuse vectors' sources (rectangular nests), in vector order:
-   [point - delta] with tile-control coordinates re-derived, kept if it is
-   an earlier iteration point whose access is on the destination's line,
-   then normalised to the latest realisation.  Each kept source is offered
-   in one array that the next vector overwrites. *)
-let vector_sources t point ref_id ~line_a offer =
-  let d = Nest.depth t.nest in
-  let src = Array.make d 0 in
-  List.exists
-    (fun (v : Tiling_reuse.Vectors.t) ->
-      for l = 0 to d - 1 do
-        src.(l) <- point.(l) - v.delta.(l)
-      done;
-      (* Tile-control coordinates follow from the element coordinates. *)
-      Array.iter
-        (fun (e, ctrl, lo, tile) ->
-          src.(ctrl) <- lo + (Intmath.floor_div (src.(e) - lo) tile * tile))
-        t.tile_pairs;
-      let zero_delta = Array.for_all (fun k -> k = 0) v.delta in
-      if not (Nest.mem_point t.nest src) then false
-      else if (not zero_delta) && Nest.lex_compare src point >= 0 then false
-      else begin
-        let src_ref = match v.leader with Some b -> b | None -> ref_id in
-        if line_of t src src_ref <> line_a then false
-        else begin
-          let first_diff =
-            let rec go l = if l = d || src.(l) <> point.(l) then l else go (l + 1) in
-            go 0
-          in
-          if first_diff < d then
-            normalise_source t ~src_form:t.forms.(src_ref) ~line_a src
-              ~dest:point ~first_nz:first_diff;
-          offer src src_ref
-        end
-      end)
-    t.reuse.(ref_id)
-
 (* ------------------------------------------------------------------ *)
-(* The reuse-source scan.  Same-line sources are offered to [accept]
-   nearest first: earlier references at the point and every reference at
-   the execution predecessor — these catch same-line reuse that no static
-   vector expresses, e.g. a streaming sweep whose line wraps across
-   several layout dimensions at once — then the latest-source search's
-   answer (affine nests) or the vector sources (rectangular nests).  The
-   access hits iff some source's path is interference-free, so the scan
-   stops at the first source [accept] takes and builds nothing after it.
-   [accept] may be handed reused arrays and must copy any it keeps. *)
+(* The reuse source.  An LRU cache measures a line's residency from its
+   latest access, and the path from that access lies inside the path from
+   every earlier access to the line, so the latest earlier access decides
+   the outcome on its own: it is the only source the CMEs need, and there
+   being none is the compulsory case.
 
-let scan_sources t point ref_id ~line_a accept =
-  let seen = ref false in
-  let offer src b =
-    seen := true;
-    accept src b
+   [latest_before] finds the latest access at a point before [dst].  Those
+   points form [depth] slices, searched latest first: slice [j] keeps
+   [dst]'s dims below [j], runs dim [j] below [dst.(j)] and leaves the
+   deeper dims free.  Within a slice the search descends outermost dim
+   first, taking at each dim the highest value at which some reference's
+   address hull still reaches the line ([top_reaching]).  At the innermost
+   dim the hull is the address itself, so a complete descent ends on an
+   access to the line.  When a descent dead-ends, the search asks the
+   exact question for the rest of the dim's range — does any reference's
+   image over those boxes meet the line? ([meets]) — and bisects on the
+   answer.  A slice with no access to the line is thus dismissed by its
+   hulls or by one query per dim of the dead end, and a first touch is
+   proved in closed form.  An interval query that runs out of fuel
+   answers "yes", which costs only a descent that then finds nothing, so
+   the search is exact and needs no budget. *)
+
+(* One search: the destination, the candidate point [src] with its dims
+   set so far, each reference's address over those dims, and the line's
+   byte range. *)
+type search = {
+  eng : t;
+  dst : int array;
+  src : int array;
+  partial : int array;
+  lo_addr : int;
+  hi_addr : int;
+}
+
+let shift s l v =
+  for b = 0 to Array.length s.partial - 1 do
+    s.partial.(b) <- s.partial.(b) + (Affine.coeff s.eng.forms.(b) l * v)
+  done
+
+(* Highest value [v] of dim [l] in [lo, hi], on the lattice [lo + step*Z],
+   at which some reference's address hull reaches the line; below [lo] if
+   there is none.  The hull is taken over the points with dims [< l] at
+   [src] and dim [l] at [v]: a tile's element keeps to its tile when the
+   tile's control is among those dims, and moves with [v] when the control
+   is dim [l] itself; other deeper dims range over their static bounds.
+   At the innermost dim the hull is the address itself. *)
+let top_reaching s l ~lo ~hi ~step =
+  let t = s.eng in
+  let loops = t.nest.Nest.loops in
+  let best = ref (lo - step) in
+  if hi >= lo then
+    for b = 0 to Array.length t.forms - 1 do
+      let form = t.forms.(b) in
+      (* The hull is [partial.(b) + c*v + [rlo, rhi]]. *)
+      let c = ref (Affine.coeff form l) and rlo = ref 0 and rhi = ref 0 in
+      for m = l + 1 to Array.length loops - 1 do
+        let cm = Affine.coeff form m in
+        if cm <> 0 then begin
+          let wlo = ref t.static_lo.(m) and whi = ref t.static_hi.(m) in
+          (match loops.(m).Nest.shape with
+          | Nest.Tile_elem { ctrl; tile; _ }
+          | Nest.Tile_elem_affine { ctrl; tile; _ } ->
+              if ctrl = l then begin
+                c := !c + cm;
+                wlo := 0;
+                whi := tile - 1
+              end
+              else if ctrl < l then begin
+                wlo := max !wlo s.src.(ctrl);
+                whi := min !whi (s.src.(ctrl) + tile - 1)
+              end
+          | Nest.Range _ | Nest.Range_affine _ | Nest.Tile_ctrl _ -> ());
+          rlo := !rlo + min (cm * !wlo) (cm * !whi);
+          rhi := !rhi + max (cm * !wlo) (cm * !whi)
+        end
+      done;
+      (* The hull reaches the line iff [x <= c*v <= y]. *)
+      let c = !c in
+      let x = s.lo_addr - s.partial.(b) - !rhi
+      and y = s.hi_addr - s.partial.(b) - !rlo in
+      let vmin = ref lo and vmax = ref hi in
+      if c > 0 then begin
+        vmin := Intmath.ceil_div x c;
+        vmax := Intmath.floor_div y c
+      end
+      else if c < 0 then begin
+        vmin := Intmath.ceil_div y c;
+        vmax := Intmath.floor_div x c
+      end
+      else if x > 0 || y < 0 then vmax := lo - 1;
+      let top = min hi !vmax in
+      if top >= lo then begin
+        let v = lo + ((top - lo) / step * step) in
+        if v >= !vmin && v > !best then best := v
+      end
+    done;
+  !best
+
+(* Exact query: does some reference's image over the points with dims
+   [< l] at [src], dim [l] in [lo, hi] and deeper dims free meet the line?
+   A query that runs out of fuel answers yes. *)
+let meets s l ~lo ~hi =
+  List.exists
+    (fun box ->
+      Array.exists
+        (fun form ->
+          let const, gens = Box.eval_form form box in
+          let hit, exact =
+            hits_interval ~fuel:(ref interval_fuel) const gens s.lo_addr
+              s.hi_addr
+          in
+          hit || not exact)
+        s.eng.forms)
+    (Path.boxes_with_bounded_dim s.eng.nest ~prefix:s.src ~level:l ~iv_lo:lo
+       ~iv_hi:hi)
+
+(* Highest value in [lo, hi] whose sub-space meets the line, given that
+   the whole interval does.  The first splits fall just above and at the
+   destination's own coordinate [dst.(l)], where translational reuse puts
+   the source; later ones halve the interval. *)
+let rec bisect s l ~step lo hi =
+  if lo = hi then lo
+  else
+    let at = lo + (Intmath.floor_div (s.dst.(l) - lo) step * step) in
+    let mid =
+      if lo < at + step && at + step <= hi then at + step
+      else if lo < at && at <= hi then at
+      else lo + (((hi - lo) / step + 1) / 2 * step)
+    in
+    if meets s l ~lo:mid ~hi then bisect s l ~step mid hi
+    else bisect s l ~step lo (mid - step)
+
+(* The latest reference from [b] down whose access at the complete point
+   [src] is on the line, with a copy of the point. *)
+let rec on_line s b =
+  if b < 0 then None
+  else if s.lo_addr <= s.partial.(b) && s.partial.(b) <= s.hi_addr then
+    Some (Array.copy s.src, b)
+  else on_line s (b - 1)
+
+(* The latest access to the line with dims [< l] at [src] and dim [l]
+   below [below]: a copy of its point and its latest reference on the
+   line. *)
+let rec descend s l ~below =
+  let nest = s.eng.nest in
+  if l = Nest.depth nest then on_line s (Array.length s.partial - 1)
+  else begin
+    let lo, hi, step = Nest.bounds_at nest s.src l in
+    descend_from s l ~lo ~step
+      (top_reaching s l ~lo ~hi:(min hi (below - step)) ~step)
+  end
+
+(* [descend] at dim [l], trying value [v] first: when nothing below [v]
+   holds an access to the line, an exact query over the rest of the dim's
+   range either dismisses it or leads, by bisection, to the next value to
+   try. *)
+and descend_from s l ~lo ~step v =
+  if v < lo then None
+  else begin
+    s.src.(l) <- v;
+    shift s l v;
+    let found = descend s (l + 1) ~below:max_int in
+    shift s l (-v);
+    match found with
+    | Some _ -> found
+    | None ->
+        let v' = top_reaching s l ~lo ~hi:(v - step) ~step in
+        if v' >= lo && meets s l ~lo ~hi:v' then
+          descend_from s l ~lo ~step (bisect s l ~step lo v')
+        else None
+  end
+
+(* Slices [j] down to 0, latest first: slice [j] has dims [< j] at [dst]
+   and dim [j] below [dst.(j)]. *)
+let rec slices s j =
+  if j < 0 then None
+  else begin
+    shift s j (-s.dst.(j));
+    match descend s j ~below:s.dst.(j) with
+    | Some _ as found -> found
+    | None -> slices s (j - 1)
+  end
+
+let latest_before t ~dst ~line_a =
+  let l_bytes = t.cache.Tiling_cache.Config.line in
+  let s =
+    {
+      eng = t;
+      dst;
+      src = Array.copy dst;
+      partial = Array.map (fun f -> Affine.eval f dst) t.forms;
+      lo_addr = line_a * l_bytes;
+      hi_addr = (line_a * l_bytes) + l_bytes - 1;
+    }
   in
-  (* References [b, limit) at [p] whose access is on the line. *)
-  let rec at_point p b limit =
-    b < limit
-    && ((line_of t p b = line_a && offer p b) || at_point p (b + 1) limit)
+  slices s (Nest.depth t.nest - 1)
+
+(* The latest reference before [ref_id] at [point] whose access is on the
+   line. *)
+let latest_at_point t point ref_id ~line_a =
+  let rec go b =
+    if b < 0 then None
+    else if line_of t point b = line_a then Some b
+    else go (b - 1)
   in
-  let accepted =
-    at_point point 0 ref_id
-    || (match exec_pred t.nest point with
-       | Some p -> at_point p 0 (Array.length t.forms)
-       | None -> false)
-    ||
-    match t.latest with
-    | Some lat -> (
-        match latest_source t lat ~dst:point ~line_a with
-        | Some (p, b) -> offer p b
-        | None -> false)
-    | None -> vector_sources t point ref_id ~line_a offer
-  in
-  if accepted then Hit else if !seen then Replacement_miss else Compulsory_miss
+  go (ref_id - 1)
+
+(* The reuse source of reference [ref_id] at [point]. *)
+let reuse_source t point ref_id ~line_a =
+  match latest_at_point t point ref_id ~line_a with
+  | Some b -> Some (point, b)
+  | None -> latest_before t ~dst:point ~line_a
 
 let reuse_sources t point ref_id =
-  let sources = ref [] in
-  ignore
-    (scan_sources t point ref_id ~line_a:(line_of t point ref_id)
-       (fun src b ->
-         sources := (Array.copy src, b) :: !sources;
-         false));
-  List.rev !sources
+  let line_a = line_of t point ref_id in
+  let here =
+    match latest_at_point t point ref_id ~line_a with
+    | Some b -> [ (Array.copy point, b) ]
+    | None -> []
+  in
+  here @ Option.to_list (latest_before t ~dst:point ~line_a)
 
 let classify t point ref_id =
   let cfg = t.cache in
@@ -793,11 +669,14 @@ let classify t point ref_id =
   let line_a = line_of t point ref_id in
   let set = Intmath.pos_mod line_a sets in
   let outcome =
-    scan_sources t point ref_id ~line_a (fun src src_ref ->
+    match reuse_source t point ref_id ~line_a with
+    | None -> Compulsory_miss
+    | Some (src, src_ref) ->
         let segments =
           segments_for_path t ~src ~src_ref ~dst:point ~dst_ref:ref_id
         in
-        count_interfering t ~set ~line_a ~cap:assoc segments < assoc)
+        if count_interfering t ~set ~line_a ~cap:assoc segments < assoc then Hit
+        else Replacement_miss
   in
   (match outcome with
   | Hit -> Metrics.incr m_hit

@@ -11,17 +11,22 @@
       needed (§2.2).
 
     The access is a miss iff it solves the replacement equations of every
-    source, so it hits iff some source has fewer than [assoc] distinct
-    interfering lines on its path; it is a compulsory miss iff it has no
-    source at all.
+    source, and a compulsory miss iff it has no source at all.  The path
+    from the latest source lies inside the path from every earlier one, so
+    the latest source decides alone: the access hits iff fewer than
+    [assoc] distinct lines interfere on its path.
 
-    Sources are scanned in a fixed order, nearest candidates first:
-    earlier references at the point itself, then every reference at the
-    execution predecessor, then the latest-source search's answer (nests
-    with affine bounds) or the normalised sources of the static reuse
-    vectors, in vector order (rectangular nests).  The scan stops at the
-    first interference-free source: that source decides the hit, so later
-    candidates are neither built nor searched for.
+    That source is the latest earlier reference at the point itself on the
+    line, if any, and otherwise the answer of one exact search over the
+    earlier iteration points, the same for every nest shape.  The search
+    takes the points before the destination slice by slice, latest first,
+    and descends each slice outermost dim first along the highest values
+    whose address hull still reaches the line.  A dead end is answered by
+    an exact query — does any reference's image over the rest of the dim's
+    range meet the line? — and bisection on the answer.  A slice with no
+    access to the line is dismissed by its hulls or its queries, so a
+    compulsory miss is proved in closed form; the search has no budget and
+    no fallback.
 
     Replacement queries are answered analytically: the image of a
     reference's address function over a path box is a constant plus a
@@ -34,9 +39,8 @@
     Other images have their residues modulo [sets * line] computed once per
     generator signature (memoised), probed against the set's window, and
     their distinct interfering lines identified by exact interval queries.
-    Queries that exceed the window/recursion budget, and latest-source
-    searches that exhaust theirs, fall back to a conservative answer and
-    are counted in {!fallback_count}. *)
+    Queries that exceed the window/recursion budget fall back to a
+    conservative answer and are counted in {!fallback_count}. *)
 
 type outcome = Hit | Compulsory_miss | Replacement_miss
 
@@ -44,7 +48,8 @@ type t
 
 val create :
   ?window_cap:int -> Tiling_ir.Nest.t -> Tiling_cache.Config.t -> t
-(** Builds the solver context: address forms, reuse vectors, memo tables.
+(** Builds the solver context: address forms, static loop bounds, memo
+    tables.
     [window_cap] bounds the per-segment exact window enumeration (default
     512). *)
 
@@ -55,29 +60,21 @@ val window_cap : t -> int
 (** The per-segment window bound this engine was created with (so helpers
     can build sibling engines with identical conservative behaviour). *)
 
-val reuse_vectors : t -> Tiling_reuse.Vectors.t list array
-(** The reuse vectors the solver uses, per reference. *)
-
 val classify : t -> int array -> int -> outcome
 (** [classify t point ref_id] decides the outcome of reference [ref_id] at
-    [point] by scanning its reuse sources in the order of the module
-    comment: [Hit] at the first source whose path is interference-free,
-    [Replacement_miss] if every source was tested and none was, and
-    [Compulsory_miss] if there was no source.  [point] must be an
-    iteration point of the nest. *)
+    [point]: [Compulsory_miss] if no earlier access touched its line, [Hit]
+    if the path from the latest one is interference-free, and
+    [Replacement_miss] otherwise.  [point] must be an iteration point of the
+    nest. *)
 
 val reuse_sources : t -> int array -> int -> (int array * int) list
-(** [reuse_sources t point ref_id] lists every same-line reuse source of
-    the access in scan order — each an earlier (point, reference) pair,
-    vector sources normalised to the latest realisation: earlier references
-    at the point, then the execution predecessor's references (which
-    capture streaming reuse whose memory line wraps across several layout
-    dimensions between consecutive iterations), then the latest-source
-    search's answer (affine nests) or the reuse vectors' sources
-    (rectangular nests).  It is {!classify}'s scan run to the end without
-    testing interference.  Empty means the access is a compulsory miss; the
-    access hits iff at least one source's path is interference-free.
-    Exposed for the symbolic solver and for tests. *)
+(** [reuse_sources t point ref_id] lists, as (point, reference) pairs, the
+    latest same-line access by an earlier reference at [point] and then the
+    latest same-line access at an earlier iteration point, each if it
+    exists.  The first listed is the reuse source {!classify} tests; when
+    there are two, the second's path contains the first's.  Empty means
+    the access is a compulsory miss.  Exposed for the symbolic solver and
+    for tests. *)
 
 val lattice_windows :
   base:int ->
@@ -102,10 +99,7 @@ val lattice_windows :
 val fallback_count : t -> int
 (** Number of conservative answers consulted so far: saturated window
     enumerations and exhausted interval queries on the paths {!classify}
-    tested, and latest-source searches that ran out of budget (reported as
-    no source).  Since the scan stops at the first hit, a search the scan
-    never reaches runs no risk of exhausting its budget, and a path it
-    never tests costs no fallback. *)
+    tested.  The reuse-source search never adds to it. *)
 
 val memo_size : t -> int
 (** Number of distinct residue images in this engine's private table

@@ -13,5 +13,20 @@ val between : Tiling_ir.Nest.t -> src:int array -> dst:int array -> Box.t list
     Requires [src <= dst]; both must be valid iteration points.  Returns
     disjoint non-empty boxes. *)
 
+val boxes_with_bounded_dim :
+  Tiling_ir.Nest.t ->
+  prefix:int array ->
+  level:int ->
+  iv_lo:int ->
+  iv_hi:int ->
+  Box.t list
+(** [boxes_with_bounded_dim nest ~prefix ~level ~iv_lo ~iv_hi] covers, with
+    disjoint boxes, the iteration points whose dims [< level] equal
+    [prefix]'s, whose dim [level] lies in [\[iv_lo, iv_hi\]], and whose
+    deeper dims range freely.  [iv_lo] must lie on the dim's lattice under
+    that prefix; an empty interval gives no boxes.  {!between} is a union
+    of such sets; the reuse-source search asks exact questions over
+    them. *)
+
 val full_space : Tiling_ir.Nest.t -> Box.t list
 (** The whole iteration space as boxes (one per convex region). *)

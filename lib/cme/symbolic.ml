@@ -116,8 +116,8 @@ let distinct_interfering_lines ?(cap = max_int) nest cache ~src ~src_ref ~dst
 
 let classify nest cache point ref_id =
   let assoc = cache.Tiling_cache.Config.assoc in
-  (* Reuse the engine's vector generation and source normalisation so any
-     disagreement isolates the replacement-query machinery. *)
+  (* Reuse the engine's reuse-source search so any disagreement isolates
+     the replacement-query machinery. *)
   let engine = Engine.create nest cache in
   let sources = Engine.reuse_sources engine point ref_id in
   if sources = [] then Compulsory_miss

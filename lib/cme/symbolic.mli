@@ -38,8 +38,9 @@ val classify :
 (** [classify nest cache point ref_id] decides the access outcome by
     building and solving the equations: the access hits iff some reuse
     source's edge has fewer than [cache.assoc] distinct interfering lines.
-    Uses the same reuse vectors and source normalisation as {!Engine}, so
-    discrepancies with it isolate the replacement-query machinery. *)
+    Takes its reuse sources from {!Engine.reuse_sources}, so
+    discrepancies with the engine isolate the replacement-query
+    machinery. *)
 
 val distinct_interfering_lines :
   ?cap:int ->

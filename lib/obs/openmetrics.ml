@@ -12,11 +12,11 @@ let valid_name s =
 let inventory =
   [
     (* cme.* — analytical model *)
-    ("cme.classify.compulsory", "Reuse vectors classified as compulsory misses");
-    ("cme.classify.hit", "Reuse vectors classified as cache hits");
-    ("cme.classify.replacement", "Reuse vectors classified as replacement misses");
+    ("cme.classify.compulsory", "Accesses classified as compulsory misses");
+    ("cme.classify.hit", "Accesses classified as cache hits");
+    ("cme.classify.replacement", "Accesses classified as replacement misses");
     ("cme.engines.created", "CME engine instances constructed");
-    ("cme.fallbacks", "CME evaluations that fell back to the simulator");
+    ("cme.fallbacks", "Conservative answers of the CME interference count");
     ("cme.residues.memo.hit", "Residue-set memo hits (per engine)");
     ("cme.residues.memo.miss", "Residue-set memo misses (per engine)");
     ("cme.residues.shared.evictions", "Entries evicted from the shared residue cache");

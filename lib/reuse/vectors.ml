@@ -13,7 +13,7 @@ let lex_sign delta =
 
 (* Per-loop step, trip count and overall value span.  For a tile-element
    loop the span is the original loop's full extent: reuse may come from a
-   different tile (the point solver re-derives the tile coordinates). *)
+   different tile. *)
 let loop_info (nest : Nest.t) =
   let slo, shi = Nest.static_bounds nest in
   Array.mapi
@@ -23,8 +23,8 @@ let loop_info (nest : Nest.t) =
           let trip = Tiling_util.Intmath.range_count ~lo ~hi ~step in
           (step, trip, trip)
       | Nest.Range_affine { step; _ } ->
-          (* Candidate enumeration works over the static hull; off-space
-             candidates are filtered by the point solver (mem_point). *)
+          (* Candidate enumeration works over the static hull, so a
+             candidate's source may fall outside the space. *)
           let trip =
             Tiling_util.Intmath.range_count ~lo:slo.(lvl) ~hi:shi.(lvl) ~step
           in
@@ -71,10 +71,10 @@ let of_reference (nest : Nest.t) ~line (r : Nest.reference) =
   let seen = Hashtbl.create 64 in
   let out = ref [] in
   let emit ?leader ~spatial delta =
-    (* On tiled nests the point solver re-derives tile coordinates, so a
-       lexicographically negative delta can still reach an earlier point;
-       validity is then decided per point.  On plain nests the static sign
-       is decisive. *)
+    (* On tiled nests the tile coordinates of [p - delta] follow from its
+       element coordinates, so a lexicographically negative delta can
+       still reach an earlier point; validity is then decided per point.
+       On plain nests the static sign is decisive. *)
     let valid =
       match (lex_sign delta, leader) with
       | 1, _ -> true

@@ -5,8 +5,8 @@
     [p - delta] — by the same reference (self reuse) or by a [leader]
     reference (group reuse).  [spatial = false] means the source touches the
     same array element (temporal); [spatial = true] means it merely lands on
-    the same memory line with high probability, which the CME point test
-    re-checks exactly at every point.
+    the same memory line with high probability, which holds only at some
+    points.
 
     Vectors are expressed as deltas of loop-variable values, so the source
     point is literally [p - delta]; a delta is valid only when the source

@@ -37,11 +37,24 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Connection bookkeeping                                               *)
 
+(* A reply write that makes no progress for this long gives up.  Only a
+   peer that has stopped reading leaves a socket buffer full for seconds:
+   any client still reading, even one descheduled on a loaded host, drains
+   some bytes well within it.  Without the bound, such a peer pins its
+   reader thread in [reply] and holds up the drain until it hangs up. *)
+let send_timeout_s = 5.0
+
+(* A failed write hangs up the connection: its reader sees end of input,
+   and later replies fail at once instead of each waiting out the send
+   timeout. *)
 let reply conn j =
   Mutex.protect conn.wlock (fun () ->
       match Netio.write_line conn.fd (Json.to_string j) with
       | Ok () -> ()
-      | Error m -> Log.debug (fun f -> f "dropping reply: %s" m))
+      | Error m -> (
+          Log.debug (fun f -> f "dropping reply, hanging up: %s" m);
+          try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
+          with Unix.Unix_error _ -> ()))
 
 let conn_begin c = Mutex.protect c.plock (fun () -> c.pending <- c.pending + 1)
 
@@ -226,6 +239,8 @@ let serve t ~dispatch ~drain =
             ()
         | fd, _ ->
             Metrics.incr m_accepted;
+            (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout_s
+             with Unix.Unix_error _ -> ());
             incr next;
             open_conn t dispatch !next fd)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()

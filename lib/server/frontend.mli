@@ -11,7 +11,9 @@
     arrival order.  [dispatch] may answer inline with {!reply}, or
     bracket work that answers later, from any thread, with {!conn_begin}
     and {!conn_end}: a reader never closes a descriptor that such work
-    will still write to.
+    will still write to.  A reply that cannot be written within
+    {!send_timeout_s} — the peer has stopped reading — hangs up the
+    connection, so such a peer cannot hold up the drain.
 
     Metrics: [server.connections.accepted], the [server.connections]
     gauge, [server.protocol.bad_lines] and [server.metrics.scrapes]
@@ -23,6 +25,10 @@ type conn
 val max_request_depth : int
 (** JSON nesting cap for request lines (and for the router's reading of
     worker replies). *)
+
+val send_timeout_s : float
+(** How long a reply write may make no progress before the connection is
+    hung up. *)
 
 val start :
   addr:Tiling_util.Netio.addr ->
@@ -53,7 +59,8 @@ val connections : t -> int
 
 val reply : conn -> Tiling_obs.Json.t -> unit
 (** Write one response line.  Lines never interleave; a write to a gone
-    peer is dropped. *)
+    peer, or one that times out, is dropped and hangs up the
+    connection. *)
 
 val conn_begin : conn -> unit
 (** One more piece of work will {!reply} on this connection later. *)

@@ -157,12 +157,14 @@ let test_entry_reach_pinned () =
      over the reuse vectors); pin them so a hoisting or reuse-analysis
      change that silently widens or narrows boundary windows is caught. *)
   let reaches nest =
-    let engine = Engine.create nest Tiling_cache.Config.dm8k in
-    let reuse = Engine.reuse_vectors engine in
+    let reuse =
+      Tiling_reuse.Vectors.of_nest nest
+        ~line:Tiling_cache.Config.dm8k.Tiling_cache.Config.line
+    in
     List.map
       (fun box ->
         List.map (Closed_form.entry_reach reuse) box.Box.entries)
-      (Path.full_space (Engine.nest engine))
+      (Path.full_space nest)
   in
   Alcotest.(check (list (list int)))
     "mm8" [ [ 7; 1; 7 ] ]

@@ -52,7 +52,11 @@ let test_stencil () =
   compare_with_sim (Tiling_kernels.Kernels.jacobi3d 10) cache1k;
   compare_with_sim
     (Transform.tile (Tiling_kernels.Kernels.jacobi3d 10) [| 4; 3; 8 |])
-    cache1k
+    cache1k;
+  (* Three rows of SOR 150 no longer fit in 8 KB: some vertical reuse is
+     evicted, a replacement miss rather than a first touch. *)
+  compare_with_sim ~tol:1e-9 (Tiling_kernels.Kernels.sor 150)
+    Tiling_cache.Config.dm8k
 
 let test_associative () =
   let c2 = Tiling_cache.Config.make ~size:1024 ~line:32 ~assoc:2 () in
@@ -71,10 +75,15 @@ let test_associative () =
   compare_with_sim ~tol:1e-9 (Tiling_kernels.Kernels.sor 24) c4_1k;
   compare_with_sim ~tol:1e-9
     (Transform.tile (Tiling_kernels.Kernels.mm 16) [| 4; 6; 3 |])
-    c4_1k
+    c4_1k;
+  compare_with_sim ~tol:1e-9
+    (Transform.tile (Tiling_kernels.Kernels.mm 16) [| 4; 6; 3 |])
+    (Tiling_cache.Config.make ~size:4096 ~line:32 ~assoc:4 ())
 
 let test_matvec () =
   compare_with_sim (Tiling_kernels.Kernels.matmul 24) cache1k;
+  compare_with_sim ~tol:1e-9 (Tiling_kernels.Kernels.matmul 12)
+    (Tiling_cache.Config.make ~size:2048 ~line:64 ());
   compare_with_sim ~tol:0.002
     (Transform.tile (Tiling_kernels.Kernels.matmul 24) [| 4; 6; 10 |])
     cache1k
@@ -207,9 +216,10 @@ let test_reuse_sources_first_touch_empty () =
     (List.length (Tiling_cme.Engine.reuse_sources engine [| 1; 1 |] 0))
 
 let test_normalisation_pushes_source_late () =
-  (* b(i,k) in MM reuses across j; the normalised source must sit at the
-     top of the k-range the address allows, i.e. have j = U_j (free dim
-     maxed), not merely j-1. *)
+  (* b(i,k) in MM reuses across j and, along its line, across i: the
+     source must be a latest realisation — (4,4,6) at the previous j, or
+     for the previous i the top of its j-range, j = U_j (free dim maxed) —
+     never merely some earlier j. *)
   let nest = Tiling_kernels.Kernels.mm 8 in
   let engine = Tiling_cme.Engine.create nest cache1k in
   let p = [| 4; 5; 6 |] in
@@ -368,7 +378,7 @@ let prop_lattice_windows =
 
 let suite = suite @ [ qcheck prop_lattice_windows ]
 
-(* --- latest-source exactness on affine nests ------------------------- *)
+(* --- latest-source exactness ------------------------------------------ *)
 
 (* The reuse source a brute-force walk back through execution order finds
    for reference [r] at the [i]-th point: the latest earlier point holding
@@ -423,15 +433,16 @@ let check_latest_sources nest cache =
 let test_latest_source_exact () =
   let dm512 = Tiling_cache.Config.make ~size:512 ~line:32 () in
   let two_way = Tiling_cache.Config.make ~size:1024 ~line:32 ~assoc:2 () in
+  let dm2k_64 = Tiling_cache.Config.make ~size:2048 ~line:64 () in
   List.iter
     (fun build ->
       let nest = build 8 in
+      let tiles = Array.sub [| 3; 5; 3 |] 0 (Nest.depth nest) in
       List.iter
         (fun nest ->
-          check_latest_sources nest dm512;
-          check_latest_sources nest two_way)
-        [ nest; Transform.tile nest [| 3; 5; 3 |] ])
-    Tiling_kernels.Kernels.[ lu; cholesky; syrk ]
+          List.iter (check_latest_sources nest) [ dm512; two_way; dm2k_64 ])
+        [ nest; Transform.tile nest tiles ])
+    Tiling_kernels.Kernels.[ lu; cholesky; syrk; mm; matmul; sor; t2d ]
 
 let suite =
   suite

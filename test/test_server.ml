@@ -486,6 +486,65 @@ let test_end_to_end () =
   Thread.join server;
   Alcotest.(check bool) "socket unlinked on drain" false (Sys.file_exists sock)
 
+(* A client that pipelines requests and never reads the replies must not
+   hold up the drain: once its socket buffers are full, the stuck reply
+   write times out and the connection is hung up. *)
+let test_drain_with_unread_replies () =
+  let sock = temp_path ".sock" in
+  let cfg = { Server.default_config with addr = Netio.Unix_sock sock } in
+  let returned = Atomic.make false in
+  let server =
+    Thread.create
+      (fun () ->
+        ignore (Server.run cfg);
+        Atomic.set returned true)
+      ()
+  in
+  let rec await_socket tries =
+    if Sys.file_exists sock then ()
+    else if tries = 0 then Alcotest.fail "server never bound its socket"
+    else (
+      Thread.delay 0.05;
+      await_socket (tries - 1))
+  in
+  await_socket 100;
+  let connect () =
+    match Netio.connect (Netio.Unix_sock sock) with
+    | Ok fd -> fd
+    | Error m -> Alcotest.failf "connect: %s" m
+  in
+  let stuck = connect () in
+  (* 2 000 [stats] replies overflow the socket buffers; the requests
+     themselves fit in them, so this write does not block. *)
+  let line = {|{"id":1,"method":"stats"}|} ^ "\n" in
+  let requests = String.concat "" (List.init 2000 (fun _ -> line)) in
+  (match Netio.write_all stuck requests with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "pipelining: %s" m);
+  Thread.delay 0.5;
+  let client =
+    match Client.connect (Netio.Unix_sock sock) with
+    | Ok c -> c
+    | Error m -> Alcotest.failf "connect: %s" m
+  in
+  let r = call_ok client ~meth:"shutdown" ~params:[] in
+  Client.close client;
+  Alcotest.(check bool) "shutdown acknowledged" true
+    (Json.member "stopping" r = Some (Json.Bool true));
+  let deadline =
+    Unix.gettimeofday () +. Tiling_server.Frontend.send_timeout_s +. 5.0
+  in
+  while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.05
+  done;
+  let in_time = Atomic.get returned in
+  (* Hanging up the stuck client unblocks a daemon that missed the
+     deadline, so a failure cannot hang the suite. *)
+  Unix.close stuck;
+  Thread.join server;
+  Alcotest.(check bool) "drain finished within the send timeout plus 5 s"
+    true in_time
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry: inflight tracking, metrics export, traces and progress    *)
 
@@ -756,4 +815,6 @@ let suite =
     Alcotest.test_case "telemetry end-to-end: metrics, traces, progress" `Quick
       test_telemetry_end_to_end;
     Alcotest.test_case "address parsing" `Quick test_addr_parsing;
+    Alcotest.test_case "drain: a client that never reads cannot hold it up"
+      `Quick test_drain_with_unread_replies;
   ]

@@ -80,15 +80,18 @@ let suite =
 
 (* Outcome pin: the whole [Tiler.to_json] of four default searches (paper
    GA, 3 restarts, 164-point sample, cme-sample, one domain) on a 256 B
-   direct-mapped cache: MM, T2D and SOR take the reuse-vector sources, LU
-   the latest-source search.  The strings were recorded before the CME source scan gained its early
-   exit; solver changes must keep every decision, so every tile, report
-   and GA history entry must stay byte-identical. *)
+   direct-mapped cache.  The T2D, SOR and LU strings were recorded before
+   the CME source scan gained its early exit.  MM's was re-recorded when
+   the exact latest-source search replaced the reuse-vector sources: the
+   vector path disagreed with LRU on 73 of the 216 MM 6 tilings at this
+   geometry, the search on none, and the chosen tiles and objective stayed
+   the same.  Solver changes must keep every decision, so every tile,
+   report and GA history entry must stay byte-identical. *)
 let pinned_outcomes =
   [
     ( "MM 6",
       Tiling_kernels.Kernels.mm 6,
-      {|{"tiles":[6,1,1],"before":{"points":164,"accesses":656,"misses":189,"compulsory":16,"replacement":173,"miss_ratio":{"center":0.28810975609756095,"half_width":0.02908444658657567,"confidence":0.9},"replacement_ratio":{"center":0.26371951219512196,"half_width":0.028298803863292525,"confidence":0.9},"fallbacks":0,"per_ref":[{"accesses":164,"misses":33,"compulsory":7},{"accesses":164,"misses":86,"compulsory":4},{"accesses":164,"misses":53,"compulsory":5},{"accesses":164,"misses":17,"compulsory":0}]},"after":{"points":164,"accesses":656,"misses":110,"compulsory":16,"replacement":94,"miss_ratio":{"center":0.1676829268292683,"half_width":0.023991871467714098,"confidence":0.9},"replacement_ratio":{"center":0.14329268292682926,"half_width":0.022501089481719829,"confidence":0.9},"fallbacks":0,"per_ref":[{"accesses":164,"misses":12,"compulsory":5},{"accesses":164,"misses":58,"compulsory":6},{"accesses":164,"misses":23,"compulsory":5},{"accesses":164,"misses":17,"compulsory":0}]},"ga":{"best_genes":[3,3,0,2,0,2],"best_objective":94.0,"generations":15,"evaluations":450,"converged":true,"history":[{"generation":1,"best":112.0,"average":194.56666666666666,"distinct":30},{"generation":2,"best":107.0,"average":175.33333333333334,"distinct":30},{"generation":3,"best":107.0,"average":159.6,"distinct":30},{"generation":4,"best":107.0,"average":145.33333333333334,"distinct":28},{"generation":5,"best":98.0,"average":131.1,"distinct":27},{"generation":6,"best":98.0,"average":115.93333333333334,"distinct":26},{"generation":7,"best":94.0,"average":112.9,"distinct":25},{"generation":8,"best":94.0,"average":108.3,"distinct":23},{"generation":9,"best":94.0,"average":107.8,"distinct":20},{"generation":10,"best":94.0,"average":105.86666666666666,"distinct":19},{"generation":11,"best":94.0,"average":104.26666666666667,"distinct":19},{"generation":12,"best":94.0,"average":100.26666666666667,"distinct":14},{"generation":13,"best":94.0,"average":95.766666666666666,"distinct":10},{"generation":14,"best":94.0,"average":98.5,"distinct":7},{"generation":15,"best":94.0,"average":94.666666666666671,"distinct":7}]},"distinct_candidates":110}|} );
+      {|{"tiles":[6,1,1],"before":{"points":164,"accesses":656,"misses":189,"compulsory":16,"replacement":173,"miss_ratio":{"center":0.28810975609756095,"half_width":0.02908444658657567,"confidence":0.9},"replacement_ratio":{"center":0.26371951219512196,"half_width":0.028298803863292525,"confidence":0.9},"fallbacks":0,"per_ref":[{"accesses":164,"misses":33,"compulsory":7},{"accesses":164,"misses":86,"compulsory":4},{"accesses":164,"misses":53,"compulsory":5},{"accesses":164,"misses":17,"compulsory":0}]},"after":{"points":164,"accesses":656,"misses":110,"compulsory":16,"replacement":94,"miss_ratio":{"center":0.1676829268292683,"half_width":0.023991871467714098,"confidence":0.9},"replacement_ratio":{"center":0.14329268292682926,"half_width":0.022501089481719829,"confidence":0.9},"fallbacks":0,"per_ref":[{"accesses":164,"misses":12,"compulsory":5},{"accesses":164,"misses":58,"compulsory":6},{"accesses":164,"misses":23,"compulsory":5},{"accesses":164,"misses":17,"compulsory":0}]},"ga":{"best_genes":[3,3,0,2,0,1],"best_objective":94.0,"generations":16,"evaluations":480,"converged":true,"history":[{"generation":1,"best":112.0,"average":194.23333333333332,"distinct":30},{"generation":2,"best":105.0,"average":175.0,"distinct":30},{"generation":3,"best":105.0,"average":159.23333333333332,"distinct":30},{"generation":4,"best":105.0,"average":144.9,"distinct":28},{"generation":5,"best":96.0,"average":130.36666666666667,"distinct":27},{"generation":6,"best":96.0,"average":117.13333333333334,"distinct":29},{"generation":7,"best":96.0,"average":112.43333333333334,"distinct":26},{"generation":8,"best":96.0,"average":109.6,"distinct":25},{"generation":9,"best":96.0,"average":108.63333333333334,"distinct":24},{"generation":10,"best":96.0,"average":105.7,"distinct":25},{"generation":11,"best":96.0,"average":103.06666666666666,"distinct":21},{"generation":12,"best":94.0,"average":99.13333333333334,"distinct":17},{"generation":13,"best":94.0,"average":98.733333333333334,"distinct":16},{"generation":14,"best":94.0,"average":96.9,"distinct":12},{"generation":15,"best":94.0,"average":95.966666666666669,"distinct":11},{"generation":16,"best":94.0,"average":95.333333333333329,"distinct":9}]},"distinct_candidates":109}|} );
     ( "T2D 12",
       Tiling_kernels.Kernels.t2d 12,
       {|{"tiles":[4,4],"before":{"points":164,"accesses":328,"misses":190,"compulsory":85,"replacement":105,"miss_ratio":{"center":0.57926829268292679,"half_width":0.044836613123307341,"confidence":0.9},"replacement_ratio":{"center":0.3201219512195122,"half_width":0.042370494900433701,"confidence":0.9},"fallbacks":0,"per_ref":[{"accesses":164,"misses":144,"compulsory":47},{"accesses":164,"misses":46,"compulsory":38}]},"after":{"points":164,"accesses":328,"misses":99,"compulsory":85,"replacement":14,"miss_ratio":{"center":0.30182926829268292,"half_width":0.04169191024444481,"confidence":0.9},"replacement_ratio":{"center":0.042682926829268296,"half_width":0.018358842562880059,"confidence":0.9},"fallbacks":0,"per_ref":[{"accesses":164,"misses":53,"compulsory":47},{"accesses":164,"misses":46,"compulsory":38}]},"ga":{"best_genes":[1,1,1,1],"best_objective":14.0,"generations":25,"evaluations":750,"converged":false,"history":[{"generation":1,"best":26.0,"average":63.533333333333331,"distinct":28},{"generation":2,"best":22.0,"average":55.93333333333333,"distinct":25},{"generation":3,"best":19.0,"average":45.56666666666667,"distinct":24},{"generation":4,"best":16.0,"average":38.0,"distinct":20},{"generation":5,"best":14.0,"average":30.733333333333334,"distinct":15},{"generation":6,"best":14.0,"average":25.533333333333335,"distinct":14},{"generation":7,"best":14.0,"average":25.033333333333335,"distinct":13},{"generation":8,"best":14.0,"average":26.2,"distinct":15},{"generation":9,"best":14.0,"average":24.266666666666666,"distinct":11},{"generation":10,"best":14.0,"average":25.3,"distinct":14},{"generation":11,"best":14.0,"average":27.533333333333335,"distinct":15},{"generation":12,"best":14.0,"average":25.8,"distinct":13},{"generation":13,"best":14.0,"average":23.5,"distinct":12},{"generation":14,"best":14.0,"average":23.066666666666666,"distinct":12},{"generation":15,"best":14.0,"average":32.766666666666666,"distinct":11},{"generation":16,"best":14.0,"average":25.366666666666667,"distinct":11},{"generation":17,"best":14.0,"average":22.2,"distinct":11},{"generation":18,"best":14.0,"average":25.966666666666665,"distinct":12},{"generation":19,"best":14.0,"average":20.466666666666665,"distinct":8},{"generation":20,"best":14.0,"average":19.7,"distinct":8},{"generation":21,"best":14.0,"average":19.566666666666666,"distinct":6},{"generation":22,"best":14.0,"average":17.966666666666665,"distinct":6},{"generation":23,"best":14.0,"average":16.5,"distinct":5},{"generation":24,"best":14.0,"average":15.2,"distinct":4},{"generation":25,"best":14.0,"average":14.5,"distinct":3}]},"distinct_candidates":99}|} );
