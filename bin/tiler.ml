@@ -14,6 +14,7 @@
      codegen     emit the (tiled) nest as C or Fortran
      baselines   compare search and analytic baselines on one kernel
      oracle      exhaustive CME-vs-simulator check over the kernel suite
+     digest      per-access decision digest of a fixed corpus (CI gate)
      serve       run the tiling daemon (docs/SERVER.md)
      request     one request against a daemon (--trace, --progress)
      metrics     one-shot OpenMetrics scrape of a daemon
@@ -705,6 +706,16 @@ let oracle_cmd =
       ret
         (const run $ kernels_arg $ oracle_size_arg $ cache_size_arg $ line_arg
        $ assoc_arg $ oracle_mode_arg))
+
+let digest_cmd =
+  let run () = Decisions.run () in
+  Cmd.v
+    (Cmd.info "digest"
+       ~doc:
+         "Print one line per case of a fixed corpus: a hash of every \
+          access's CME outcome, the fallback count and the verdict against \
+          the simulator (test/decisions.digest is the committed output)")
+    Term.(const run $ const ())
 
 let baselines_cmd =
   let run name size csize line assoc seed obs =
@@ -1398,7 +1409,7 @@ let () =
       [
         list_cmd; show_cmd; simulate_cmd; analyze_cmd; equations_cmd;
         tile_cmd; pad_cmd; pad_tile_cmd; joint_cmd; order_cmd;
-        codegen_cmd; trace_cmd; baselines_cmd; fuzz_cmd; oracle_cmd;
+        codegen_cmd; trace_cmd; baselines_cmd; fuzz_cmd; oracle_cmd; digest_cmd;
         serve_cmd; request_cmd; metrics_cmd; top_cmd;
       ]
   in

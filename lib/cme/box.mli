@@ -39,4 +39,52 @@ val eval_form : Tiling_ir.Affine.t -> t -> int * (int * int) list
 val value_range : int -> (int * int) list -> int * int
 (** [value_range const gens] is the (min, max) of the image. *)
 
+(** {2 Boxes without lists}
+
+    The path walk ({!Path.walk_between}) builds one box at a time in a
+    [cursor] and evaluates address functions over it into an [image]; both
+    are scratch that a caller allocates once and reuses, so the walk
+    allocates nothing per box. *)
+
+type cursor = private {
+  origin : int array;  (** written in place by the walk *)
+  mutable len : int;  (** entries on the stack *)
+  var1 : int array;
+  inc1 : int array;  (** entry [e]'s first (variable, increment) target *)
+  var2 : int array;
+  inc2 : int array;  (** its second target; [var2.(e) < 0] if it has one *)
+  counts : int array;  (** entry [e]'s count, >= 2 *)
+}
+(** The box [{ origin; entries }] whose entry [e < len] has the targets
+    above and count [counts.(e)]. *)
+
+val cursor : int -> cursor
+(** An empty cursor for a nest of the given depth (a box has at most one
+    entry per dimension). *)
+
+val push : cursor -> v1:int -> i1:int -> v2:int -> i2:int -> count:int -> unit
+(** Push an entry ([v2 = -1] for a single target). *)
+
+val pop : cursor -> unit
+val clear : cursor -> unit
+
+val freeze : cursor -> t
+(** An immutable copy of the current box. *)
+
+type image = private {
+  mutable const : int;
+  mutable len : int;  (** generators in [steps]/[counts] *)
+  steps : int array;
+  counts : int array;
+}
+(** The image [const + sum (steps.(g) * t_g)], [t_g in [0, counts.(g))],
+    of an address function over a box. *)
+
+val image : int -> image
+(** An empty image for a nest of the given depth. *)
+
+val eval_into : image -> Tiling_ir.Affine.t -> cursor -> unit
+(** [eval_into img f c] stores {!eval_form}[ f (freeze c)] in [img]: same
+    constant, same generators in the same (entry) order. *)
+
 val pp : t Fmt.t

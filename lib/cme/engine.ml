@@ -30,7 +30,7 @@ let m_engines = Metrics.counter "cme.engines.created"
    growing without bound.  Eviction only ever costs a recompute. *)
 
 module Shared_residues = struct
-  type key = int * (int * int) list (* modulus, canonical generators *)
+  type key = int * int array (* modulus, canonical generators *)
 
   type shard = {
     lock : Mutex.t;
@@ -111,6 +111,15 @@ let set_shared_residue_capacity = Shared_residues.set_capacity
 let clear_shared_residues = Shared_residues.clear
 let shared_residue_size = Shared_residues.length
 
+(* An engine's private residue table, keyed by the flattened canonical
+   generators [s1; c1; s2; c2; ...]. *)
+module Key_table = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash (a : t) = Hashtbl.hash a
+end)
+
 type outcome = Hit | Compulsory_miss | Replacement_miss
 
 type t = {
@@ -120,9 +129,32 @@ type t = {
   modulus : int;  (* sets * line: addresses congruent mod this share a set *)
   static_lo : int array;
   static_hi : int array;  (* per-dim bounding interval of the loop values *)
-  memo : ((int * int) list, Residue_set.t) Hashtbl.t;
+  memo : Residue_set.t Key_table.t;
   window_cap : int;
   mutable fallbacks : int;
+  (* Scratch, reused by every query, so an engine serves one domain: the
+     path walk's plan and box; one reference's image over the current box
+     with its generator orders, the last denseness gcd, the residue
+     signature buffers and the interval query's fuel; and the distinct
+     interfering windows found so far (at most [assoc]). *)
+  plan : Path.plan;
+  img : Box.image;
+  by_mag : int array;
+  by_size : int array;
+  rank : int array;
+  mutable g : int;
+  keys : int array array;
+  mutable fuel : int;
+  found : int array;
+  mutable nfound : int;
+  mutable base : int;  (* the count's set's first window, set * line *)
+  mutable m0 : int;  (* the reused line's own window index *)
+  (* The reuse-source search's state (see [latest_before]). *)
+  mutable dst : int array;
+  src : int array;
+  partial : int array;
+  mutable lo_addr : int;
+  mutable hi_addr : int;
 }
 
 let create ?(window_cap = 512) nest cache =
@@ -137,6 +169,7 @@ let create ?(window_cap = 512) nest cache =
       let line = cache.Tiling_cache.Config.line in
       let forms = Array.map (fun r -> Nest.address_form nest r) nest.Nest.refs in
       let static_lo, static_hi = Nest.static_bounds nest in
+      let depth = Nest.depth nest in
       {
         nest;
         cache;
@@ -144,58 +177,142 @@ let create ?(window_cap = 512) nest cache =
         modulus = cache.Tiling_cache.Config.sets * line;
         static_lo;
         static_hi;
-        memo = Hashtbl.create 256;
+        memo = Key_table.create 256;
         window_cap;
         fallbacks = 0;
+        plan = Path.plan nest;
+        img = Box.image depth;
+        by_mag = Array.make depth 0;
+        by_size = Array.make depth 0;
+        rank = Array.make depth 0;
+        g = 0;
+        keys = Array.init (depth + 1) (fun n -> Array.make (2 * n) 0);
+        fuel = 0;
+        found = Array.make cache.Tiling_cache.Config.assoc 0;
+        nfound = 0;
+        base = 0;
+        m0 = 0;
+        dst = [||];
+        src = Array.make depth 0;
+        partial = Array.make (Array.length forms) 0;
+        lo_addr = 0;
+        hi_addr = 0;
       })
 
 let nest t = t.nest
 let cache t = t.cache
 let window_cap t = t.window_cap
 let fallback_count t = t.fallbacks
-let memo_size t = Hashtbl.length t.memo
+let memo_size t = Key_table.length t.memo
 
 (* ------------------------------------------------------------------ *)
-(* Residue images, memoised by generator signature.                    *)
+(* The image of one reference over one box, in the engine's scratch.
 
-let canonical_gens t gens =
+   [t.img] holds the generators in entry order.  [order] sorts them by
+   magnitude, [by_mag] ascending and [by_size] descending, ties in entry
+   order in both; [rank] is each generator's position in [by_size].  The
+   interval query below peels generators off in [by_size] order, so its
+   sub-images are the suffixes [by_size.(k..)]; the denseness test takes a
+   sub-image's generators in [by_mag] order.  These are exactly the orders
+   the stable sorts of a generator list in entry order give. *)
+
+let order t =
+  let img = t.img in
+  let n = img.Box.len in
+  let mag i = abs img.Box.steps.(i) in
+  for i = 0 to n - 1 do
+    let j = ref i in
+    while !j > 0 && mag t.by_mag.(!j - 1) > mag i do
+      t.by_mag.(!j) <- t.by_mag.(!j - 1);
+      decr j
+    done;
+    t.by_mag.(!j) <- i;
+    let j = ref i in
+    while !j > 0 && mag t.by_size.(!j - 1) < mag i do
+      t.by_size.(!j) <- t.by_size.(!j - 1);
+      decr j
+    done;
+    t.by_size.(!j) <- i
+  done;
+  for k = 0 to n - 1 do
+    t.rank.(t.by_size.(k)) <- k
+  done
+
+(* Bounds of [const] plus the sub-image [by_size.(k..)]. *)
+let sub_min t const k =
+  let img = t.img in
+  let mn = ref const in
+  for j = k to img.Box.len - 1 do
+    let i = t.by_size.(j) in
+    let span = img.Box.steps.(i) * (img.Box.counts.(i) - 1) in
+    if span < 0 then mn := !mn + span
+  done;
+  !mn
+
+let sub_max t const k =
+  let img = t.img in
+  let mx = ref const in
+  for j = k to img.Box.len - 1 do
+    let i = t.by_size.(j) in
+    let span = img.Box.steps.(i) * (img.Box.counts.(i) - 1) in
+    if span > 0 then mx := !mx + span
+  done;
+  !mx
+
+(* ------------------------------------------------------------------ *)
+(* Residue images, memoised by generator signature: the generators'
+   steps modulo [sets * line] and counts capped at their period, sorted.
+   The signature is built in [t.keys], one buffer per generator count, so
+   a lookup that hits allocates nothing. *)
+
+let residues t =
+  let img = t.img in
   let m = t.modulus in
-  let norm =
-    List.filter_map
-      (fun (step, count) ->
-        let s = Intmath.pos_mod step m in
-        if s = 0 then None
-        else
-          let period = m / Intmath.gcd s m in
-          Some (s, min count period))
-      gens
-  in
-  List.sort compare norm
-
-let residues t gens =
-  let key = canonical_gens t gens in
-  match Hashtbl.find_opt t.memo key with
-  | Some r ->
+  let n = ref 0 in
+  let buf = t.keys.(Array.length t.keys - 1) in
+  for g = 0 to img.Box.len - 1 do
+    let s = Intmath.pos_mod img.Box.steps.(g) m in
+    if s <> 0 then begin
+      let c = min img.Box.counts.(g) (m / Intmath.gcd s m) in
+      let j = ref !n in
+      while
+        !j > 0
+        && (buf.(2 * (!j - 1)) > s
+           || (buf.(2 * (!j - 1)) = s && buf.((2 * (!j - 1)) + 1) > c))
+      do
+        buf.(2 * !j) <- buf.(2 * (!j - 1));
+        buf.((2 * !j) + 1) <- buf.((2 * (!j - 1)) + 1);
+        decr j
+      done;
+      buf.(2 * !j) <- s;
+      buf.((2 * !j) + 1) <- c;
+      incr n
+    end
+  done;
+  let key = t.keys.(!n) in
+  Array.blit buf 0 key 0 (2 * !n);
+  match Key_table.find t.memo key with
+  | r ->
       Metrics.incr m_memo_hit;
       r
-  | None ->
+  | exception Not_found ->
       Metrics.incr m_memo_miss;
-      let skey = (t.modulus, key) in
+      let key = Array.copy key in
+      let skey = (m, key) in
       let r =
         match Shared_residues.find skey with
         | Some r -> r
         | None ->
-            let r =
-              List.fold_left
-                (fun acc (step, count) ->
-                  Residue_set.sum_progression acc ~step ~count)
-                (Residue_set.singleton t.modulus 0)
-                key
-            in
-            Shared_residues.add skey r;
-            r
+            let r = ref (Residue_set.singleton m 0) in
+            for j = 0 to !n - 1 do
+              r :=
+                Residue_set.sum_progression !r ~step:key.(2 * j)
+                  ~count:key.((2 * j) + 1)
+            done;
+            Shared_residues.add skey !r;
+            !r
       in
-      Hashtbl.replace t.memo key r;
+      Key_table.replace t.memo key r;
       r
 
 (* ------------------------------------------------------------------ *)
@@ -210,24 +327,29 @@ let residues t gens =
    residues {0, 16} mod 48), and (b) same-class translates sit
    [period * s] apart, so their spans must chain contiguously
    ([period * s <= span + g] — e.g. {216 x 5} + {936 x 4} covers every
-   class but each one only inside its own disjoint window).  Rejecting a
-   dense set costs only the exact fallback query, never correctness.    *)
+   class but each one only inside its own disjoint window).  The
+   generators are added by increasing magnitude.  Rejecting a dense set
+   costs only the exact fallback query, never correctness.
 
-let dense_and_gcd gens =
-  let rec go dense g span = function
-    | [] -> (dense, g)
-    | (step, count) :: rest ->
-        let s = abs step in
-        let g' = Intmath.gcd g s in
-        let ok =
-          g = 0
-          ||
-          let period = g / g' in
-          count >= period && period * s <= span + g
-        in
-        go (dense && ok) g' (span + (s * (count - 1))) rest
-  in
-  go true 0 0 (List.sort (fun (a, _) (b, _) -> compare (abs a) (abs b)) gens)
+   [dense_from t k] tests the sub-image [by_size.(k..)] and leaves its
+   gcd in [t.g]. *)
+
+let dense_from t k =
+  let img = t.img in
+  let dense = ref true and g = ref 0 and span = ref 0 in
+  for j = 0 to img.Box.len - 1 do
+    let i = t.by_mag.(j) in
+    if t.rank.(i) >= k then begin
+      let s = abs img.Box.steps.(i) and count = img.Box.counts.(i) in
+      (if !g <> 0 then
+         let period = !g / Intmath.gcd !g s in
+         if not (count >= period && period * s <= !span + !g) then dense := false);
+      g := Intmath.gcd !g s;
+      span := !span + (s * (count - 1))
+    end
+  done;
+  t.g <- !g;
+  !dense
 
 (* Does a value congruent to [c] modulo [g] exist in [a, b]?  [g = 0]
    degenerates to the single value [c]. *)
@@ -240,61 +362,58 @@ let lattice_hits ~c ~g a b =
    window walk. *)
 let interval_fuel = 4096
 
-(* Exact query: does the image of [const + generators] intersect [a, b]?
-   [fuel] bounds the recursion; on exhaustion we answer with the dense
-   approximation (and the caller counts a fallback via the return flag). *)
-let rec hits_interval ~fuel const gens a b =
-  let mn, mx = Box.value_range const gens in
-  if mx < a || mn > b then (false, true)
-  else if mn >= a && mx <= b then (true, true)
-  else
-    let dense, g = dense_and_gcd gens in
-    if dense then (lattice_hits ~c:const ~g (max a mn) (min b mx), true)
-    else if !fuel <= 0 then (lattice_hits ~c:const ~g (max a mn) (min b mx), false)
-    else begin
-      decr fuel;
-      (* Branch on the coarsest generator; only the steps whose translate of
-         the remaining sub-image can reach [a, b] are explored. *)
-      let (step, count), rest =
-        match
-          List.stable_sort (fun (x, _) (y, _) -> compare (abs y) (abs x)) gens
-        with
-        | [] -> assert false
-        | hd :: tl -> (hd, tl)
-      in
-      let rmn, rmx = Box.value_range const rest in
-      (* Need step * k in [a - rmx, b - rmn]. *)
-      let lo_n = a - rmx and hi_n = b - rmn in
-      let k_lo, k_hi =
-        if step > 0 then (Intmath.ceil_div lo_n step, Intmath.floor_div hi_n step)
-        else (Intmath.ceil_div hi_n step, Intmath.floor_div lo_n step)
-      in
-      let k_lo = max k_lo 0 and k_hi = min k_hi (count - 1) in
-      let result = ref false and exact = ref true in
-      let k = ref k_lo in
-      while (not !result) && !k <= k_hi do
-        let hit, ex = hits_interval ~fuel (const + (step * !k)) rest a b in
-        if hit then result := true;
-        if not ex then exact := false;
-        incr k
-      done;
-      (!result, !result || !exact)
-    end
+(* Exact query: does [const] plus the sub-image [by_size.(k..)] intersect
+   [a, b]?  [t.fuel] bounds the recursion; on exhaustion the query answers
+   with the dense approximation and reports it.  The answer is [hit],
+   [miss], or either with the [inexact] bit set. *)
+let miss = 0
+let hit = 1
+let inexact = 2
+
+let rec hits_from t const k a b =
+  let mn = sub_min t const k and mx = sub_max t const k in
+  if mx < a || mn > b then miss
+  else if mn >= a && mx <= b then hit
+  else if dense_from t k then
+    if lattice_hits ~c:const ~g:t.g (max a mn) (min b mx) then hit else miss
+  else if t.fuel <= 0 then
+    inexact lor if lattice_hits ~c:const ~g:t.g (max a mn) (min b mx) then hit else miss
+  else begin
+    t.fuel <- t.fuel - 1;
+    (* Branch on the coarsest generator; only the steps whose translate of
+       the remaining sub-image can reach [a, b] are explored. *)
+    let i = t.by_size.(k) in
+    let step = t.img.Box.steps.(i) and count = t.img.Box.counts.(i) in
+    let rmn = sub_min t const (k + 1) and rmx = sub_max t const (k + 1) in
+    (* Need step * j in [a - rmx, b - rmn]. *)
+    let lo_n = a - rmx and hi_n = b - rmn in
+    let j_lo =
+      max 0 (if step > 0 then Intmath.ceil_div lo_n step else Intmath.ceil_div hi_n step)
+    and j_hi =
+      min (count - 1)
+        (if step > 0 then Intmath.floor_div hi_n step else Intmath.floor_div lo_n step)
+    in
+    let answer = ref miss in
+    let j = ref j_lo in
+    while !answer land hit = 0 && !j <= j_hi do
+      answer := !answer lor hits_from t (const + (step * !j)) (k + 1) a b;
+      incr j
+    done;
+    (* A hit is exact whatever the queries before it answered. *)
+    if !answer land hit <> 0 then hit else !answer
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Interference counting.                                               *)
 
-(* A segment is the image of one reference over one path box (or a single
-   endpoint access): a constant plus generators. *)
-type segment = { const : int; gens : (int * int) list }
-
 (* Windows [[base + m*modulus, base + m*modulus + line)] holding a point
    of a sparse lattice.  The lattice is [{mn + g*j : 0 <= j <= (mx - mn) /
    g}] with [g > line], so a window holds at most one point and the
-   points' windows come in increasing order.  [take] is offered each such window index except [m0], and the
-   walk stops once it answers [false]: [Intmath.next_window_hit] jumps from
-   one hitting point to the next, so no empty window is visited. *)
-let lattice_windows ~base ~modulus ~line ~mn ~mx ~g ~m0 take =
+   points' windows come in increasing order.  [take x] is offered each
+   such window index except [m0], and the walk stops once it answers
+   [false]: [Intmath.next_window_hit] jumps from one hitting point to the
+   next, so no empty window is visited. *)
+let windows ~base ~modulus ~line ~mn ~mx ~g ~m0 take x =
   let a = mn - base in
   let last = (mx - mn) / g in
   let j = ref 0 in
@@ -302,15 +421,27 @@ let lattice_windows ~base ~modulus ~line ~mn ~mx ~g ~m0 take =
     match Intmath.next_window_hit ~a ~g ~m:modulus ~len:line !j with
     | Some hit when hit <= last ->
         let m = Intmath.floor_div (a + (g * hit)) modulus in
-        j := if m = m0 || take m then hit + 1 else last + 1
+        j := if m = m0 || take x m then hit + 1 else last + 1
     | Some _ | None -> j := last + 1
   done
 
+let lattice_windows ~base ~modulus ~line ~mn ~mx ~g ~m0 take =
+  windows ~base ~modulus ~line ~mn ~mx ~g ~m0 (fun take m -> take m) take
+
 (* Count distinct memory lines, different from [line_a], mapping to cache
-   set [set], touched by the segments; counting stops at [cap].  Lines in
-   set [set] are exactly [set + m * sets] for integer [m]; a value [v]
-   belongs to that line's window iff [v in [set*L + m*M, set*L + m*M + L)]
-   with [M = sets * L].
+   set [set], touched between an access and its reuse source; counting
+   stops at the associativity.  Lines in set [set] are exactly
+   [set + m * sets] for integer [m]; a value [v] belongs to that line's
+   window iff [v in [set*L + m*M, set*L + m*M + L)] with [M = sets * L].
+
+   The accesses are taken as segments, each the image of one reference
+   over one path box or a single access, in a fixed order: the
+   destination point's earlier references, latest first; the source
+   point's later references, latest first; then the path's boxes from the
+   last to the first, each with its references from the last to the
+   first.  The order decides nothing but which segments are still looked
+   at once the count reaches the associativity, and so which conservative
+   answers are counted.
 
    A dense segment's image is exactly the lattice [const + g*Z] cut to
    [mn, mx], so it is answered in closed form without a residue image:
@@ -319,120 +450,124 @@ let lattice_windows ~base ~modulus ~line ~mn ~mx ~g ~m0 take =
    only the windows that hold one.  Other segments are prefiltered by
    their residue image, then walked window by window with exact interval
    queries. *)
-let count_interfering t ~set ~line_a ~cap segments =
-  let cfg = t.cache in
-  let l_bytes = cfg.Tiling_cache.Config.line in
-  let sets = cfg.Tiling_cache.Config.sets in
-  let m_big = t.modulus in
-  let m0 = (line_a - set) / sets in (* line_a's own window index *)
-  let found : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let base = set * l_bytes in
-  let consider seg =
-    if Hashtbl.length found >= cap then ()
-    else begin
-      match seg.gens with
-      | [] ->
-          (* Single access. *)
-          let v = seg.const in
-          if Intmath.pos_mod (v - base) m_big < l_bytes then begin
-            let m = Intmath.floor_div (v - base) m_big in
-            if m <> m0 then Hashtbl.replace found m ()
-          end
-      | gens ->
-          let dense, g = dense_and_gcd gens in
-          if dense && g > l_bytes then begin
-            let mn, mx = Box.value_range seg.const gens in
-            lattice_windows ~base ~modulus:m_big ~line:l_bytes ~mn ~mx ~g ~m0
-              (fun m ->
-                Hashtbl.replace found m ();
-                Hashtbl.length found < cap)
-          end
-          else if dense then begin
-            (* O(1) per window. *)
-            let mn, mx = Box.value_range seg.const gens in
-            let m_hi = Intmath.floor_div (mx - base) m_big in
-            let m = ref (Intmath.floor_div (mn - base) m_big) in
-            while Hashtbl.length found < cap && !m <= m_hi do
-              if !m <> m0 then begin
-                let a = base + (!m * m_big) and b = base + (!m * m_big) + l_bytes - 1 in
-                if lattice_hits ~c:seg.const ~g (max a mn) (min b mx) then
-                  Hashtbl.replace found !m ()
-              end;
-              incr m
-            done
-          end
-          else if
-            (* The image residues are those of the generators shifted by
-               const; probe the set window accordingly. *)
-            Residue_set.hits_window (residues t gens) ~lo:(base - seg.const)
-              ~len:l_bytes
-          then begin
-            let mn, mx = Box.value_range seg.const gens in
-            let m_lo = Intmath.floor_div (mn - base) m_big in
-            let m_hi = Intmath.floor_div (mx - base) m_big in
-            if m_hi - m_lo + 1 > t.window_cap then begin
-              (* Too many windows for exact enumeration of a non-dense
-                 image: conservatively saturate. *)
-              t.fallbacks <- t.fallbacks + 1;
-              Metrics.incr m_fallbacks;
-              if t.fallbacks = 1 then
-                Log.debug (fun m ->
-                    m "window enumeration saturated (%d windows > cap %d); \
-                       counting conservatively"
-                      (m_hi - m_lo + 1) t.window_cap);
-              for m = m_lo to m_lo + cap do
-                if m <> m0 then Hashtbl.replace found m ()
-              done
-            end
-            else begin
-              let fuel = ref interval_fuel in
-              let m = ref m_lo in
-              while Hashtbl.length found < cap && !m <= m_hi do
-                if !m <> m0 then begin
-                  let a = base + (!m * m_big) in
-                  let hit, exact = hits_interval ~fuel seg.const gens a (a + l_bytes - 1) in
-                  if not exact then begin
-                    t.fallbacks <- t.fallbacks + 1;
-                    Metrics.incr m_fallbacks
-                  end;
-                  if hit then Hashtbl.replace found !m ()
-                end;
-                incr m
-              done
-            end
-          end
-    end
-  in
-  List.iter consider segments;
-  Hashtbl.length found
 
-(* ------------------------------------------------------------------ *)
-(* Path segments for one reuse edge.                                    *)
+let full t = t.nfound >= t.cache.Tiling_cache.Config.assoc
 
-let segments_for_path t ~src ~src_ref ~dst ~dst_ref =
-  let nrefs = Array.length t.forms in
-  let boxes = Path.between t.nest ~src ~dst in
-  let segs = ref [] in
-  (* All references over the strictly-between boxes. *)
-  List.iter
-    (fun box ->
-      for b = 0 to nrefs - 1 do
-        let const, gens = Box.eval_form t.forms.(b) box in
-        segs := { const; gens } :: !segs
-      done)
-    boxes;
-  (* References after [src_ref] at the source point. *)
-  let same_point = Nest.lex_compare src dst = 0 in
-  let upto = if same_point then dst_ref else nrefs in
-  for b = src_ref + 1 to upto - 1 do
-    segs := { const = Affine.eval t.forms.(b) src; gens = [] } :: !segs
+(* Record window [m]; answers whether the count may go on. *)
+let add_window t m =
+  let known = ref false in
+  for i = 0 to t.nfound - 1 do
+    if t.found.(i) = m then known := true
   done;
-  (* References before [dst_ref] at the destination point. *)
+  if not (!known || full t) then begin
+    t.found.(t.nfound) <- m;
+    t.nfound <- t.nfound + 1
+  end;
+  not (full t)
+
+let count_access t v =
+  let m_big = t.modulus in
+  if Intmath.pos_mod (v - t.base) m_big < t.cache.Tiling_cache.Config.line then begin
+    let m = Intmath.floor_div (v - t.base) m_big in
+    if m <> t.m0 then ignore (add_window t m : bool)
+  end
+
+(* The segment of reference [b] over the current path box. *)
+let count_box_ref t cur b =
+  let l_bytes = t.cache.Tiling_cache.Config.line in
+  let m_big = t.modulus and base = t.base and m0 = t.m0 in
+  let img = t.img in
+  Box.eval_into img t.forms.(b) cur;
+  let const = img.Box.const in
+  if img.Box.len = 0 then count_access t const
+  else begin
+    order t;
+    let mn = sub_min t const 0 and mx = sub_max t const 0 in
+    if dense_from t 0 then begin
+      let g = t.g in
+      if g > l_bytes then
+        windows ~base ~modulus:m_big ~line:l_bytes ~mn ~mx ~g ~m0 add_window t
+      else begin
+        (* O(1) per window. *)
+        let m_hi = Intmath.floor_div (mx - base) m_big in
+        let m = ref (Intmath.floor_div (mn - base) m_big) in
+        while (not (full t)) && !m <= m_hi do
+          if !m <> m0 then begin
+            let a = base + (!m * m_big) and b = base + (!m * m_big) + l_bytes - 1 in
+            if lattice_hits ~c:const ~g (max a mn) (min b mx) then
+              ignore (add_window t !m : bool)
+          end;
+          incr m
+        done
+      end
+    end
+    else if
+      (* The image residues are those of the generators shifted by const;
+         probe the set window accordingly. *)
+      Residue_set.hits_window (residues t) ~lo:(base - const) ~len:l_bytes
+    then begin
+      let m_lo = Intmath.floor_div (mn - base) m_big in
+      let m_hi = Intmath.floor_div (mx - base) m_big in
+      if m_hi - m_lo + 1 > t.window_cap then begin
+        (* Too many windows for exact enumeration of a non-dense image:
+           conservatively saturate. *)
+        t.fallbacks <- t.fallbacks + 1;
+        Metrics.incr m_fallbacks;
+        if t.fallbacks = 1 then
+          Log.debug (fun m ->
+              m "window enumeration saturated (%d windows > cap %d); \
+                 counting conservatively"
+                (m_hi - m_lo + 1) t.window_cap);
+        for m = m_lo to m_lo + t.cache.Tiling_cache.Config.assoc do
+          if m <> m0 then ignore (add_window t m : bool)
+        done
+      end
+      else begin
+        t.fuel <- interval_fuel;
+        let m = ref m_lo in
+        while (not (full t)) && !m <= m_hi do
+          if !m <> m0 then begin
+            let a = base + (!m * m_big) in
+            let answer = hits_from t const 0 a (a + l_bytes - 1) in
+            if answer land inexact <> 0 then begin
+              t.fallbacks <- t.fallbacks + 1;
+              Metrics.incr m_fallbacks
+            end;
+            if answer land hit <> 0 then ignore (add_window t !m : bool)
+          end;
+          incr m
+        done
+      end
+    end
+  end
+
+(* Every reference over the current box, the last first. *)
+let count_box t cur =
+  let b = ref (Array.length t.forms - 1) in
+  while (not (full t)) && !b >= 0 do
+    count_box_ref t cur !b;
+    decr b
+  done;
+  not (full t)
+
+(* Whether the associativity's worth of distinct lines interferes on the
+   path from reference [src_ref] at [src] to [dst_ref] at [dst]. *)
+let saturated t ~src ~src_ref ~dst ~dst_ref ~set ~line_a =
+  t.base <- set * t.cache.Tiling_cache.Config.line;
+  t.m0 <- (line_a - set) / t.cache.Tiling_cache.Config.sets;
+  t.nfound <- 0;
+  let same_point = Nest.lex_compare src dst = 0 in
   if not same_point then
-    for b = 0 to dst_ref - 1 do
-      segs := { const = Affine.eval t.forms.(b) dst; gens = [] } :: !segs
+    for b = dst_ref - 1 downto 0 do
+      if not (full t) then count_access t (Affine.eval t.forms.(b) dst)
     done;
-  !segs
+  let upto = if same_point then dst_ref else Array.length t.forms in
+  for b = upto - 1 downto src_ref + 1 do
+    if not (full t) then count_access t (Affine.eval t.forms.(b) src)
+  done;
+  if not (full t) then
+    ignore (Path.walk_between t.plan ~src ~dst ~rev:true count_box t : bool);
+  full t
 
 (* Memory line of reference [ref_id]'s access at [point]. *)
 let line_of t point ref_id =
@@ -460,23 +595,14 @@ let line_of t point ref_id =
    hulls or by one query per dim of the dead end, and a first touch is
    proved in closed form.  An interval query that runs out of fuel
    answers "yes", which costs only a descent that then finds nothing, so
-   the search is exact and needs no budget. *)
+   the search is exact and needs no budget.  The search's state lives in
+   the engine: [dst], the candidate [src] with its dims set so far, each
+   reference's address over those dims ([partial]) and the line's byte
+   range. *)
 
-(* One search: the destination, the candidate point [src] with its dims
-   set so far, each reference's address over those dims, and the line's
-   byte range. *)
-type search = {
-  eng : t;
-  dst : int array;
-  src : int array;
-  partial : int array;
-  lo_addr : int;
-  hi_addr : int;
-}
-
-let shift s l v =
-  for b = 0 to Array.length s.partial - 1 do
-    s.partial.(b) <- s.partial.(b) + (Affine.coeff s.eng.forms.(b) l * v)
+let shift t l v =
+  for b = 0 to Array.length t.partial - 1 do
+    t.partial.(b) <- t.partial.(b) + (Affine.coeff t.forms.(b) l * v)
   done
 
 (* Highest value [v] of dim [l] in [lo, hi], on the lattice [lo + step*Z],
@@ -486,8 +612,7 @@ let shift s l v =
    tile's control is among those dims, and moves with [v] when the control
    is dim [l] itself; other deeper dims range over their static bounds.
    At the innermost dim the hull is the address itself. *)
-let top_reaching s l ~lo ~hi ~step =
-  let t = s.eng in
+let top_reaching t l ~lo ~hi ~step =
   let loops = t.nest.Nest.loops in
   let best = ref (lo - step) in
   if hi >= lo then
@@ -508,8 +633,8 @@ let top_reaching s l ~lo ~hi ~step =
                 whi := tile - 1
               end
               else if ctrl < l then begin
-                wlo := max !wlo s.src.(ctrl);
-                whi := min !whi (s.src.(ctrl) + tile - 1)
+                wlo := max !wlo t.src.(ctrl);
+                whi := min !whi (t.src.(ctrl) + tile - 1)
               end
           | Nest.Range _ | Nest.Range_affine _ | Nest.Tile_ctrl _ -> ());
           rlo := !rlo + min (cm * !wlo) (cm * !whi);
@@ -518,8 +643,8 @@ let top_reaching s l ~lo ~hi ~step =
       done;
       (* The hull reaches the line iff [x <= c*v <= y]. *)
       let c = !c in
-      let x = s.lo_addr - s.partial.(b) - !rhi
-      and y = s.hi_addr - s.partial.(b) - !rlo in
+      let x = t.lo_addr - t.partial.(b) - !rhi
+      and y = t.hi_addr - t.partial.(b) - !rlo in
       let vmin = ref lo and vmax = ref hi in
       if c > 0 then begin
         vmin := Intmath.ceil_div x c;
@@ -538,145 +663,134 @@ let top_reaching s l ~lo ~hi ~step =
     done;
   !best
 
+(* Whether no reference's image over the walk's current box meets the
+   line, that is, whether the walk goes on.  A query that runs out of fuel
+   answers that it meets. *)
+let box_misses t cur =
+  let img = t.img in
+  let met = ref false and r = ref 0 in
+  while (not !met) && !r < Array.length t.forms do
+    Box.eval_into img t.forms.(!r) cur;
+    order t;
+    t.fuel <- interval_fuel;
+    met := hits_from t img.Box.const 0 t.lo_addr t.hi_addr <> miss;
+    incr r
+  done;
+  not !met
+
 (* Exact query: does some reference's image over the points with dims
    [< l] at [src], dim [l] in [lo, hi] and deeper dims free meet the line?
-   A query that runs out of fuel answers yes. *)
-let meets s l ~lo ~hi =
-  List.exists
-    (fun box ->
-      Array.exists
-        (fun form ->
-          let const, gens = Box.eval_form form box in
-          let hit, exact =
-            hits_interval ~fuel:(ref interval_fuel) const gens s.lo_addr
-              s.hi_addr
-          in
-          hit || not exact)
-        s.eng.forms)
-    (Path.boxes_with_bounded_dim s.eng.nest ~prefix:s.src ~level:l ~iv_lo:lo
-       ~iv_hi:hi)
+   The boxes are walked forward, and the walk stops at the first box and
+   reference that meets it. *)
+let meets t l ~lo ~hi =
+  not
+    (Path.walk_bounded_dim t.plan ~prefix:t.src ~level:l ~iv_lo:lo ~iv_hi:hi
+       ~rev:false box_misses t)
 
 (* Highest value in [lo, hi] whose sub-space meets the line, given that
    the whole interval does.  The first splits fall just above and at the
    destination's own coordinate [dst.(l)], where translational reuse puts
    the source; later ones halve the interval. *)
-let rec bisect s l ~step lo hi =
+let rec bisect t l ~step lo hi =
   if lo = hi then lo
   else
-    let at = lo + (Intmath.floor_div (s.dst.(l) - lo) step * step) in
+    let at = lo + (Intmath.floor_div (t.dst.(l) - lo) step * step) in
     let mid =
       if lo < at + step && at + step <= hi then at + step
       else if lo < at && at <= hi then at
       else lo + (((hi - lo) / step + 1) / 2 * step)
     in
-    if meets s l ~lo:mid ~hi then bisect s l ~step mid hi
-    else bisect s l ~step lo (mid - step)
+    if meets t l ~lo:mid ~hi then bisect t l ~step mid hi
+    else bisect t l ~step lo (mid - step)
 
 (* The latest reference from [b] down whose access at the complete point
-   [src] is on the line, with a copy of the point. *)
-let rec on_line s b =
-  if b < 0 then None
-  else if s.lo_addr <= s.partial.(b) && s.partial.(b) <= s.hi_addr then
-    Some (Array.copy s.src, b)
-  else on_line s (b - 1)
+   [src] is on the line, or -1. *)
+let rec on_line t b =
+  if b < 0 then -1
+  else if t.lo_addr <= t.partial.(b) && t.partial.(b) <= t.hi_addr then b
+  else on_line t (b - 1)
 
 (* The latest access to the line with dims [< l] at [src] and dim [l]
-   below [below]: a copy of its point and its latest reference on the
-   line. *)
-let rec descend s l ~below =
-  let nest = s.eng.nest in
-  if l = Nest.depth nest then on_line s (Array.length s.partial - 1)
+   below [below]: its latest reference on the line, with its point left in
+   [src], or -1. *)
+let rec descend t l ~below =
+  let nest = t.nest in
+  if l = Nest.depth nest then on_line t (Array.length t.partial - 1)
   else begin
-    let lo, hi, step = Nest.bounds_at nest s.src l in
-    descend_from s l ~lo ~step
-      (top_reaching s l ~lo ~hi:(min hi (below - step)) ~step)
+    let lo = Nest.lo_at nest t.src l and hi = Nest.hi_at nest t.src l in
+    let step = Nest.step_of nest l in
+    descend_from t l ~lo ~step
+      (top_reaching t l ~lo ~hi:(min hi (below - step)) ~step)
   end
 
 (* [descend] at dim [l], trying value [v] first: when nothing below [v]
    holds an access to the line, an exact query over the rest of the dim's
    range either dismisses it or leads, by bisection, to the next value to
    try. *)
-and descend_from s l ~lo ~step v =
-  if v < lo then None
+and descend_from t l ~lo ~step v =
+  if v < lo then -1
   else begin
-    s.src.(l) <- v;
-    shift s l v;
-    let found = descend s (l + 1) ~below:max_int in
-    shift s l (-v);
-    match found with
-    | Some _ -> found
-    | None ->
-        let v' = top_reaching s l ~lo ~hi:(v - step) ~step in
-        if v' >= lo && meets s l ~lo ~hi:v' then
-          descend_from s l ~lo ~step (bisect s l ~step lo v')
-        else None
+    t.src.(l) <- v;
+    shift t l v;
+    let found = descend t (l + 1) ~below:max_int in
+    shift t l (-v);
+    if found >= 0 then found
+    else
+      let v' = top_reaching t l ~lo ~hi:(v - step) ~step in
+      if v' >= lo && meets t l ~lo ~hi:v' then
+        descend_from t l ~lo ~step (bisect t l ~step lo v')
+      else -1
   end
 
 (* Slices [j] down to 0, latest first: slice [j] has dims [< j] at [dst]
    and dim [j] below [dst.(j)]. *)
-let rec slices s j =
-  if j < 0 then None
+let rec slices t j =
+  if j < 0 then -1
   else begin
-    shift s j (-s.dst.(j));
-    match descend s j ~below:s.dst.(j) with
-    | Some _ as found -> found
-    | None -> slices s (j - 1)
+    shift t j (-t.dst.(j));
+    let found = descend t j ~below:t.dst.(j) in
+    if found >= 0 then found else slices t (j - 1)
   end
 
+(* The latest access to [line_a] at a point before [dst]: its reference,
+   with its point left in [t.src], or -1. *)
 let latest_before t ~dst ~line_a =
   let l_bytes = t.cache.Tiling_cache.Config.line in
-  let s =
-    {
-      eng = t;
-      dst;
-      src = Array.copy dst;
-      partial = Array.map (fun f -> Affine.eval f dst) t.forms;
-      lo_addr = line_a * l_bytes;
-      hi_addr = (line_a * l_bytes) + l_bytes - 1;
-    }
-  in
-  slices s (Nest.depth t.nest - 1)
+  t.dst <- dst;
+  Array.blit dst 0 t.src 0 (Array.length dst);
+  for b = 0 to Array.length t.forms - 1 do
+    t.partial.(b) <- Affine.eval t.forms.(b) dst
+  done;
+  t.lo_addr <- line_a * l_bytes;
+  t.hi_addr <- (line_a * l_bytes) + l_bytes - 1;
+  slices t (Nest.depth t.nest - 1)
 
 (* The latest reference before [ref_id] at [point] whose access is on the
-   line. *)
-let latest_at_point t point ref_id ~line_a =
-  let rec go b =
-    if b < 0 then None
-    else if line_of t point b = line_a then Some b
-    else go (b - 1)
-  in
-  go (ref_id - 1)
-
-(* The reuse source of reference [ref_id] at [point]. *)
-let reuse_source t point ref_id ~line_a =
-  match latest_at_point t point ref_id ~line_a with
-  | Some b -> Some (point, b)
-  | None -> latest_before t ~dst:point ~line_a
+   line, or -1. *)
+let rec latest_at_point t point b ~line_a =
+  if b < 0 || line_of t point b = line_a then b
+  else latest_at_point t point (b - 1) ~line_a
 
 let reuse_sources t point ref_id =
   let line_a = line_of t point ref_id in
-  let here =
-    match latest_at_point t point ref_id ~line_a with
-    | Some b -> [ (Array.copy point, b) ]
-    | None -> []
-  in
-  here @ Option.to_list (latest_before t ~dst:point ~line_a)
+  let here = latest_at_point t point (ref_id - 1) ~line_a in
+  let before = latest_before t ~dst:point ~line_a in
+  (if here >= 0 then [ (Array.copy point, here) ] else [])
+  @ if before >= 0 then [ (Array.copy t.src, before) ] else []
 
+(* The reuse source is the latest earlier reference at the point on the
+   line, else the latest access to it at an earlier point. *)
 let classify t point ref_id =
-  let cfg = t.cache in
-  let sets = cfg.Tiling_cache.Config.sets in
-  let assoc = cfg.Tiling_cache.Config.assoc in
   let line_a = line_of t point ref_id in
-  let set = Intmath.pos_mod line_a sets in
+  let set = Intmath.pos_mod line_a t.cache.Tiling_cache.Config.sets in
+  let here = latest_at_point t point (ref_id - 1) ~line_a in
+  let src_ref = if here >= 0 then here else latest_before t ~dst:point ~line_a in
+  let src = if here >= 0 then point else t.src in
   let outcome =
-    match reuse_source t point ref_id ~line_a with
-    | None -> Compulsory_miss
-    | Some (src, src_ref) ->
-        let segments =
-          segments_for_path t ~src ~src_ref ~dst:point ~dst_ref:ref_id
-        in
-        if count_interfering t ~set ~line_a ~cap:assoc segments < assoc then Hit
-        else Replacement_miss
+    if src_ref < 0 then Compulsory_miss
+    else if saturated t ~src ~src_ref ~dst:point ~dst_ref:ref_id ~set ~line_a then
+      Replacement_miss
+    else Hit
   in
   (match outcome with
   | Hit -> Metrics.incr m_hit

@@ -28,6 +28,15 @@
     compulsory miss is proved in closed form; the search has no budget and
     no fallback.
 
+    The path from the source is never built.  {!Path.walk_between} walks
+    its boxes last first; each reference's image over the current box is
+    evaluated into the engine's scratch and counted at once, and the walk
+    stops as soon as [assoc] distinct lines interfere.  The search's exact
+    queries walk their boxes forward and stop at the first box and
+    reference that meets the line.  Neither builds a list: classifying an
+    access allocates only on a residue memo miss and for the sparse window
+    walk's options.
+
     Replacement queries are answered analytically: the image of a
     reference's address function over a path box is a constant plus a
     small set of generators (steps and counts).  When the image is dense —
@@ -45,11 +54,16 @@
 type outcome = Hit | Compulsory_miss | Replacement_miss
 
 type t
+(** An engine keeps its per-query scratch — the path walk's plan and box,
+    one reference's image and its generator orders, the interfering
+    windows found, the search's candidate point — and an unlocked residue
+    memo, so it serves one domain at a time.  Callers build one engine per
+    candidate, per fuzz case or per census chunk. *)
 
 val create :
   ?window_cap:int -> Tiling_ir.Nest.t -> Tiling_cache.Config.t -> t
-(** Builds the solver context: address forms, static loop bounds, memo
-    tables.
+(** Builds the solver context: address forms, static loop bounds, the path
+    plan, memo tables and scratch.
     [window_cap] bounds the per-segment exact window enumeration (default
     512). *)
 

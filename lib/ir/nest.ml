@@ -156,17 +156,28 @@ let validate name loops refs =
       Array.iter (fun f -> if Affine.depth f <> d then invalid_arg (name ^ ": subscript depth")) idx)
     refs
 
-let bounds_at t point l =
+let lo_at t point l =
   match t.loops.(l).shape with
-  | Range { lo; hi; step } -> (lo, hi, step)
-  | Range_affine { lo; hi; step } -> (Affine.eval lo point, Affine.eval hi point, step)
-  | Tile_ctrl { lo; hi; tile } -> (lo, hi, tile)
-  | Tile_elem { ctrl; tile; hi } ->
-      let base = point.(ctrl) in
-      (base, min (base + tile - 1) hi, 1)
-  | Tile_elem_affine { ctrl; tile; lo; hi } ->
-      let base = point.(ctrl) in
-      (max base (Affine.eval lo point), min (base + tile - 1) (Affine.eval hi point), 1)
+  | Range { lo; _ } | Tile_ctrl { lo; _ } -> lo
+  | Range_affine { lo; _ } -> Affine.eval lo point
+  | Tile_elem { ctrl; _ } -> point.(ctrl)
+  | Tile_elem_affine { ctrl; lo; _ } -> max point.(ctrl) (Affine.eval lo point)
+
+let hi_at t point l =
+  match t.loops.(l).shape with
+  | Range { hi; _ } | Tile_ctrl { hi; _ } -> hi
+  | Range_affine { hi; _ } -> Affine.eval hi point
+  | Tile_elem { ctrl; tile; hi } -> min (point.(ctrl) + tile - 1) hi
+  | Tile_elem_affine { ctrl; tile; hi; _ } ->
+      min (point.(ctrl) + tile - 1) (Affine.eval hi point)
+
+let step_of t l =
+  match t.loops.(l).shape with
+  | Range { step; _ } | Range_affine { step; _ } -> step
+  | Tile_ctrl { tile; _ } -> tile
+  | Tile_elem _ | Tile_elem_affine _ -> 1
+
+let bounds_at t point l = (lo_at t point l, hi_at t point l, step_of t l)
 
 let mem_point t point =
   Array.length point = depth t
@@ -180,16 +191,15 @@ let mem_point t point =
        !ok
      end
 
+let rec lex_from (a : int array) b l =
+  if l = Array.length a then 0
+  else
+    let c = compare a.(l) b.(l) in
+    if c <> 0 then c else lex_from a b (l + 1)
+
 let lex_compare a b =
-  let n = Array.length a in
-  assert (Array.length b = n);
-  let rec loop l =
-    if l = n then 0
-    else
-      let c = compare a.(l) b.(l) in
-      if c <> 0 then c else loop (l + 1)
-  in
-  loop 0
+  assert (Array.length b = Array.length a);
+  lex_from a b 0
 
 (* Per-dimension count contribution: control loops contribute nothing (the
    matching element loop spans the original loop, since tile windows

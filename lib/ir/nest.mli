@@ -93,6 +93,12 @@ val bounds_at : t -> int array -> int -> int * int * int
     loops take the values in [point] (entries at positions >= l are
     ignored). *)
 
+val lo_at : t -> int array -> int -> int
+val hi_at : t -> int array -> int -> int
+val step_of : t -> int -> int
+(** The three components of {!bounds_at}, for loops that must not allocate
+    a tuple per call. *)
+
 val mem_point : t -> int array -> bool
 (** Whether the vector is an iteration point of the nest (each coordinate
     within bounds and on-step). *)

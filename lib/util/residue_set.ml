@@ -143,6 +143,20 @@ let sum_progression t ~step ~count =
     else union_shifts t ~step ~count
   end
 
+(* Any member in [a, b) with 0 <= a <= b <= m? *)
+let probe_range t a b =
+  let found = ref false in
+  let r = ref a in
+  while (not !found) && !r < b do
+    let w = !r / bits_per_word and bit = !r mod bits_per_word in
+    if t.words.(w) lsr bit = 0 then
+      (* No bits at or above [bit] in this word: jump to next word. *)
+      r := (w + 1) * bits_per_word
+    else if t.words.(w) land (1 lsl bit) <> 0 then found := true
+    else incr r
+  done;
+  !found
+
 let hits_window t ~lo ~len =
   if len <= 0 then false
   else begin
@@ -150,22 +164,8 @@ let hits_window t ~lo ~len =
     if len >= m then not (is_empty t)
     else begin
       let lo = Intmath.pos_mod lo m in
-      let probe_range a b =
-        (* any member in [a, b) with 0 <= a <= b <= m *)
-        let found = ref false in
-        let r = ref a in
-        while (not !found) && !r < b do
-          let w = !r / bits_per_word and bit = !r mod bits_per_word in
-          if t.words.(w) lsr bit = 0 then
-            (* No bits at or above [bit] in this word: jump to next word. *)
-            r := (w + 1) * bits_per_word
-          else if t.words.(w) land (1 lsl bit) <> 0 then found := true
-          else incr r
-        done;
-        !found
-      in
-      if lo + len <= m then probe_range lo (lo + len)
-      else probe_range lo m || probe_range 0 (lo + len - m)
+      if lo + len <= m then probe_range t lo (lo + len)
+      else probe_range t lo m || probe_range t 0 (lo + len - m)
     end
   end
 

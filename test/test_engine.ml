@@ -450,3 +450,47 @@ let suite =
       Alcotest.test_case "latest source = brute-force walk (affine)" `Quick
         test_latest_source_exact;
     ]
+
+(* The point solver's allocation, a deterministic counter: the words the
+   test's domain allocates while classifying every access of a fixed
+   164-point sample, per classification.  The path walk, the interference
+   count and the source search run in per-engine scratch; what remains is
+   residue images built on memo misses (the shared cache is emptied first,
+   so every case starts cold) and the sparse window walk's options.  Each
+   bound is about 1.5 times the figure measured when it was set (MM 93,
+   SOR 38, LU 42, T2D 10 words). *)
+let test_classify_allocation () =
+  let cache = Tiling_cache.Config.make ~size:8192 ~line:32 () in
+  List.iter
+    (fun (name, nest, tiles, bound) ->
+      let nest = Transform.tile nest tiles in
+      let rng = Tiling_util.Prng.create ~seed:164 in
+      let points = Array.init 164 (fun _ -> Nest.random_point nest rng) in
+      Tiling_cme.Engine.clear_shared_residues ();
+      let engine = Tiling_cme.Engine.create nest cache in
+      let nrefs = Array.length nest.Nest.refs in
+      let before = Gc.minor_words () in
+      Array.iter
+        (fun p ->
+          for r = 0 to nrefs - 1 do
+            ignore (Tiling_cme.Engine.classify engine p r : Tiling_cme.Engine.outcome)
+          done)
+        points;
+      let words = (Gc.minor_words () -. before) /. float_of_int (164 * nrefs) in
+      if words > bound then
+        Alcotest.failf "%s: %.1f words per classification, bound %.0f" name words
+          bound)
+    Tiling_kernels.Kernels.
+      [
+        ("MM 24 [5,7,3]", mm 24, [| 5; 7; 3 |], 140.);
+        ("SOR 32 [7,5]", sor 32, [| 7; 5 |], 56.);
+        ("LU 16 [3,5,4]", lu 16, [| 3; 5; 4 |], 63.);
+        ("T2D 64 [8,8]", t2d 64, [| 8; 8 |], 16.);
+      ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "classification allocation bound" `Quick
+        test_classify_allocation;
+    ]

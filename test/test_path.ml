@@ -124,3 +124,70 @@ let suite =
       Alcotest.test_case "between on a 4-deep tiled nest" `Quick
         test_between_four_deep_tiled;
     ]
+
+(* The walk order.  The interference count takes the path's boxes last
+   first, and which boxes it still looks at once it has found enough lines
+   decides which conservative answers it counts, so the reverse walk must
+   visit exactly the reversed list, and a stopped walk exactly a prefix. *)
+let walk p ~src ~dst ~rev ~stop_after =
+  let acc = ref [] in
+  let finished =
+    Path.walk_between p ~src ~dst ~rev
+      (fun acc c ->
+        acc := Box.freeze c :: !acc;
+        List.length !acc < stop_after)
+      acc
+  in
+  (finished, List.rev !acc)
+
+let rec take k = function
+  | x :: rest when k > 0 -> x :: take (k - 1) rest
+  | _ -> []
+
+let prop_walk_order =
+  QCheck.Test.make
+    ~name:"reverse walk = reversed list; a stopped walk = a prefix" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         let* triangular = bool in
+         let* t1 = int_range 1 6 in
+         let* t2 = int_range 1 6 in
+         let* t3 = int_range 1 6 in
+         let* tiled = bool in
+         let* seed = int_range 0 10000 in
+         let* k = int_range 1 12 in
+         return (triangular, [| t1; t2; t3 |], tiled, seed, k)))
+    (fun (triangular, tiles, tiled, seed, k) ->
+      let nest =
+        if triangular then
+          let spec =
+            {
+              Tiling_kernels.Random_kernel.default_spec with
+              extents = [| 7; 8; 7 |];
+              tri_ratio = 1.0;
+            }
+          in
+          let nest = Tiling_kernels.Random_kernel.generate ~spec ~seed () in
+          if tiled then
+            Transform.tile nest
+              (Array.map2 min tiles (Transform.tile_spans nest))
+          else nest
+        else Transform.tile (Tiling_kernels.Kernels.t2d 13) (Array.sub tiles 0 2)
+      in
+      let rng = Tiling_util.Prng.create ~seed in
+      let a = Nest.random_point nest rng in
+      let b = Nest.random_point nest rng in
+      let src, dst = if Nest.lex_compare a b <= 0 then (a, b) else (b, a) in
+      let forward = Path.between nest ~src ~dst in
+      let n = List.length forward in
+      let p = Path.plan nest in
+      let _, reverse = walk p ~src ~dst ~rev:true ~stop_after:max_int in
+      let fwd_done, fwd_k = walk p ~src ~dst ~rev:false ~stop_after:k in
+      let rev_done, rev_k = walk p ~src ~dst ~rev:true ~stop_after:k in
+      reverse = List.rev forward
+      && fwd_k = take k forward
+      && rev_k = take k (List.rev forward)
+      && fwd_done = (k > n)
+      && rev_done = (k > n))
+
+let suite = suite @ [ qcheck prop_walk_order ]

@@ -169,9 +169,10 @@ let suite =
         test_interference_monotone_in_path;
     ]
 
-(* Accesses the early exit decides: SOR's six references give most of its
-   accesses several same-line sources, so the scan usually stops before
-   the last one; the tiled MM adds seam and ragged-tile vector sources. *)
+(* Accesses with several same-line sources: SOR's six references give
+   most of its accesses more than one, of which the point solver tests only
+   the latest; the tiled MM adds sources across tile seams and in ragged
+   tiles. *)
 let test_early_exit_agreement () =
   let c2 = Tiling_cache.Config.make ~size:256 ~line:32 ~assoc:2 () in
   let sor = Tiling_kernels.Kernels.sor 8 in
