@@ -7,8 +7,11 @@
    [verdict] the per-reference comparison with the LRU simulator (agree,
    mismatch, or inconclusive when the engine fell back).  A search line
    records one default GA search on one domain, where its counters are
-   deterministic.  The output is committed as test/decisions.digest, so a
-   change that moves a single decision shows up as a diff naming the case. *)
+   deterministic, and ends with the FNV-1a hash of the search's
+   [Tiler.to_json] (tiles, both reports and the GA's whole history), so the
+   GA trajectory is pinned byte for byte.  The output is committed as
+   test/decisions.digest, so a change that moves a single decision shows up
+   as a diff naming the case. *)
 
 open Tiling_ir
 module Engine = Tiling_cme.Engine
@@ -21,6 +24,13 @@ let code = function
   | Engine.Hit -> 0
   | Engine.Replacement_miss -> 1
   | Engine.Compulsory_miss -> 2
+
+let fnv1a_string s =
+  let h = ref fnv_offset in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
+    s;
+  !h
 
 let tiles_label t = String.concat "x" (Array.to_list (Array.map string_of_int t))
 
@@ -155,13 +165,16 @@ let searches () =
       let fresh =
         match !eval with Some ev -> Tiling_search.Eval.fresh ev | None -> 0
       in
+      let json =
+        fnv1a_string (Tiling_obs.Json.to_string (Tiling_core.Tiler.to_json o))
+      in
       Printf.printf
         "search/%s/n%d tiles=%s fresh=%d generations=%d hit=%d replacement=%d \
-         compulsory=%d fallbacks=%d\n%!"
+         compulsory=%d fallbacks=%d json=%016Lx\n%!"
         name n (tiles_label o.Tiling_core.Tiler.tiles) fresh (counter "ga.generations") (counter "cme.classify.hit")
         (counter "cme.classify.replacement")
         (counter "cme.classify.compulsory")
-        (counter "cme.fallbacks"))
+        (counter "cme.fallbacks") json)
     [ ("MM", 100); ("T2D", 500); ("SOR", 500); ("LU", 48) ];
   Metrics.set_enabled false
 

@@ -411,18 +411,21 @@ let rec hits_from t const k a b =
    g}] with [g > line], so a window holds at most one point and the
    points' windows come in increasing order.  [take x] is offered each
    such window index except [m0], and the walk stops once it answers
-   [false]: [Intmath.next_window_hit] jumps from one hitting point to the
-   next, so no empty window is visited. *)
+   [false]: [Intmath.next_lattice_hit] jumps from one hitting point to the
+   next, so no empty window is visited; the inverse it needs is computed
+   once per walk, and nothing is allocated. *)
 let windows ~base ~modulus ~line ~mn ~mx ~g ~m0 take x =
   let a = mn - base in
   let last = (mx - mn) / g in
+  let u = Intmath.lattice_inverse ~g ~m:modulus in
   let j = ref 0 in
   while !j <= last do
-    match Intmath.next_window_hit ~a ~g ~m:modulus ~len:line !j with
-    | Some hit when hit <= last ->
-        let m = Intmath.floor_div (a + (g * hit)) modulus in
-        j := if m = m0 || take x m then hit + 1 else last + 1
-    | Some _ | None -> j := last + 1
+    let hit = Intmath.next_lattice_hit ~a ~g ~m:modulus ~u ~len:line !j in
+    if hit <= last then begin
+      let m = Intmath.floor_div (a + (g * hit)) modulus in
+      j := if m = m0 || take x m then hit + 1 else last + 1
+    end
+    else j := last + 1
   done
 
 let lattice_windows ~base ~modulus ~line ~mn ~mx ~g ~m0 take =

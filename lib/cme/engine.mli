@@ -107,7 +107,7 @@ val lattice_windows :
     every window index other than [m0] whose window holds a lattice point,
     and stops as soon as [take] answers [false].  Since [g > line], a
     window holds at most one point; the walk jumps from one such point to
-    the next in closed form ({!Tiling_util.Intmath.next_window_hit}) and
+    the next in closed form ({!Tiling_util.Intmath.next_lattice_hit}) and
     never visits an empty window. *)
 
 val fallback_count : t -> int

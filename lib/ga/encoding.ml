@@ -25,8 +25,9 @@ let make uppers =
   { uppers; bits; gene_offsets; total_genes = !total }
 
 let decode_value ~bits ~upper x =
-  assert (x >= 0 && x < Intmath.pow 2 bits);
-  (x * (upper - 1) / (Intmath.pow 2 bits - 1)) + 1
+  let top = (1 lsl bits) - 1 in
+  assert (x >= 0 && x <= top);
+  (x * (upper - 1) / top) + 1
 
 let encode_value ~bits ~upper value =
   assert (value >= 1 && value <= upper);
@@ -54,10 +55,12 @@ let chromosome_value t genes i =
 
 let decode t genes =
   assert (Array.length genes = t.total_genes);
-  Array.mapi
-    (fun i upper ->
-      decode_value ~bits:t.bits.(i) ~upper (chromosome_value t genes i))
-    t.uppers
+  let values = Array.make (Array.length t.uppers) 0 in
+  for i = 0 to Array.length values - 1 do
+    values.(i) <-
+      decode_value ~bits:t.bits.(i) ~upper:t.uppers.(i) (chromosome_value t genes i)
+  done;
+  values
 
 let encode t values =
   assert (Array.length values = Array.length t.uppers);

@@ -43,6 +43,31 @@ type result = {
   history : generation_stats list;
 }
 
+(* Folds over float arrays as plain loops, left to right; [fold_max] and
+   [fold_min] keep [Stdlib.max]/[min]'s [if a >= b then a else b]. *)
+let sum a =
+  let s = ref 0. in
+  for i = 0 to Array.length a - 1 do
+    s := !s +. a.(i)
+  done;
+  !s
+
+let fold_max (init : float) (a : float array) =
+  let m = ref init in
+  for i = 0 to Array.length a - 1 do
+    let x = a.(i) in
+    if not (!m >= x) then m := x
+  done;
+  !m
+
+let fold_min (init : float) (a : float array) =
+  let m = ref init in
+  for i = 0 to Array.length a - 1 do
+    let x = a.(i) in
+    if not (!m <= x) then m := x
+  done;
+  !m
+
 (* Remainder stochastic selection without replacement (Goldberg): each
    individual first receives [floor expected] copies deterministically;
    the fractional remainders are then treated as Bernoulli probabilities
@@ -52,35 +77,43 @@ type result = {
    the new population is full.  Consequently every individual receives
    between [floor expected] and [ceil expected] copies (the defining RSS
    guarantee), except when all remainders are consumed before the
-   population fills, where the shortfall is drawn uniformly. *)
+   population fills, where the shortfall is drawn uniformly.  The picks
+   fill the result from the back: the first pick is the last element. *)
 let select rng pop fitness n =
-  let total = Array.fold_left ( +. ) 0. fitness in
-  let chosen = ref [] in
+  let total = sum fitness in
+  let chosen = if n <= 0 then [||] else Array.make n pop.(0) in
   let count = ref 0 in
+  let pick i =
+    chosen.(n - 1 - !count) <- pop.(i);
+    incr count
+  in
   let uniform_fill () =
     while !count < n do
-      chosen := pop.(Prng.int rng (Array.length pop)) :: !chosen;
-      incr count
+      pick (Prng.int rng (Array.length pop))
     done
   in
   if total <= 0. then
     (* Degenerate generation (all individuals equally fit): uniform draw. *)
     uniform_fill ()
   else begin
-    let expected =
-      Array.map (fun f -> float_of_int n *. f /. total) fitness
-    in
-    Array.iteri
-      (fun i e ->
-        for _ = 1 to int_of_float e do
-          if !count < n then begin
-            chosen := pop.(i) :: !chosen;
-            incr count
-          end
-        done)
-      expected;
-    let fracs =
-      Array.map (fun e -> e -. Float.of_int (int_of_float e)) expected
+    (* [fracs] holds the expectations, then their remainders. *)
+    let k = Array.length fitness in
+    let fracs = Array.make k 0. in
+    for i = 0 to k - 1 do
+      fracs.(i) <- float_of_int n *. fitness.(i) /. total
+    done;
+    for i = 0 to k - 1 do
+      for _ = 1 to int_of_float fracs.(i) do
+        if !count < n then pick i
+      done
+    done;
+    for i = 0 to k - 1 do
+      let e = fracs.(i) in
+      fracs.(i) <- e -. Float.of_int (int_of_float e)
+    done;
+    let consumed () =
+      let rec from i = i = k || (fracs.(i) <= 1e-9 && from (i + 1)) in
+      from 0
     in
     let order = Array.init (Array.length pop) Fun.id in
     (* Fractional passes.  Treating remainders this way keeps each
@@ -89,38 +122,72 @@ let select rng pop fitness n =
        which case the remainder of the population is drawn uniformly. *)
     while !count < n do
       Prng.shuffle rng order;
-      Array.iter
-        (fun i ->
-          if !count < n && fracs.(i) > 0. then
-            if Prng.bernoulli rng ~p:fracs.(i) then begin
-              chosen := pop.(i) :: !chosen;
-              incr count;
-              fracs.(i) <- 0.
-            end)
-        order;
-      if !count < n && Array.for_all (fun f -> f <= 1e-9) fracs then
-        uniform_fill ()
+      for j = 0 to Array.length order - 1 do
+        let i = order.(j) in
+        if !count < n && fracs.(i) > 0. then
+          if Prng.bernoulli rng ~p:fracs.(i) then begin
+            pick i;
+            fracs.(i) <- 0.
+          end
+      done;
+      if !count < n && consumed () then uniform_fill ()
     done
   end;
-  Array.of_list !chosen
+  chosen
 
-let crossover rng p a b =
-  if Array.length a <= 1 || not (Prng.bernoulli rng ~p) then
-    (Array.copy a, Array.copy b)
+(* Single-point crossover of [a] and [b] into [c1] and [c2] (the children
+   take their first [site] genes from one parent, the rest from the
+   other); without a crossover the parents are copied. *)
+let crossover rng p a b c1 c2 =
+  let len = Array.length a in
+  if len <= 1 || not (Prng.bernoulli rng ~p) then begin
+    Array.blit a 0 c1 0 len;
+    Array.blit b 0 c2 0 len
+  end
   else begin
-    let site = 1 + Prng.int rng (Array.length a - 1) in
-    let child x y = Array.init (Array.length a) (fun i -> if i < site then x.(i) else y.(i)) in
-    (child a b, child b a)
+    let site = 1 + Prng.int rng (len - 1) in
+    Array.blit a 0 c1 0 site;
+    Array.blit b site c1 site (len - site);
+    Array.blit b 0 c2 0 site;
+    Array.blit a site c2 site (len - site)
   end
 
 let mutate rng p genes =
   (* Mutation flips individual bits of the 2-bit genes. *)
-  Array.iteri
-    (fun i g ->
-      let g = if Prng.bernoulli rng ~p then g lxor 1 else g in
-      let g = if Prng.bernoulli rng ~p then g lxor 2 else g in
-      genes.(i) <- g)
-    genes
+  for i = 0 to Array.length genes - 1 do
+    let g = genes.(i) in
+    let g = if Prng.bernoulli rng ~p then g lxor 1 else g in
+    let g = if Prng.bernoulli rng ~p then g lxor 2 else g in
+    genes.(i) <- g
+  done
+
+(* Distinct genotypes, counted in a table over gene arrays with a
+   monomorphic hash and equality. *)
+module Genotypes = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < n && a.(!i) = b.(!i) do
+      incr i
+    done;
+    !i = n
+
+  let hash (a : t) =
+    let h = ref 0x811c9dc5 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h lxor a.(i)) * 0x100000001b3
+    done;
+    !h land max_int
+end)
+
+let distinct_genotypes pop =
+  let seen = Genotypes.create (Array.length pop) in
+  Array.iter (fun g -> Genotypes.replace seen g ()) pop;
+  Genotypes.length seen
 
 let run ?(params = default_params) ?on_generation ?evaluate_all ~encoding
     ~objective ~rng () =
@@ -139,6 +206,11 @@ let run ?(params = default_params) ?on_generation ?evaluate_all ~encoding
         | None -> Array.map objective decoded)
   in
   let pop = ref (Array.init n (fun _ -> Encoding.random_genes encoding rng)) in
+  (* The next generation is written into a second population of gene
+     buffers, and the two swap roles every generation: the selected
+     individuals alias the current buffers only. *)
+  let len = encoding.Encoding.total_genes in
+  let spare = ref (Array.init n (fun _ -> Array.make len 0)) in
   let best_genes = ref (Array.copy !pop.(0)) in
   let best_obj = ref infinity in
   let history = ref [] in
@@ -150,17 +222,15 @@ let run ?(params = default_params) ?on_generation ?evaluate_all ~encoding
     Metrics.incr m_generations;
     let objs = eval_population !pop in
     let best_i = ref 0 in
-    Array.iteri (fun i o -> if o < objs.(!best_i) then best_i := i) objs;
+    for i = 0 to Array.length objs - 1 do
+      if objs.(i) < objs.(!best_i) then best_i := i
+    done;
     if objs.(!best_i) < !best_obj then begin
       best_obj := objs.(!best_i);
       best_genes := Array.copy !pop.(!best_i)
     end;
-    let avg = Array.fold_left ( +. ) 0. objs /. float_of_int n in
-    let distinct =
-      let seen = Hashtbl.create n in
-      Array.iter (fun g -> Hashtbl.replace seen g ()) !pop;
-      Hashtbl.length seen
-    in
+    let avg = sum objs /. float_of_int n in
+    let distinct = distinct_genotypes !pop in
     let stats = { generation = gen; best = objs.(!best_i); average = avg; distinct } in
     history := stats :: !history;
     Tiling_obs.Events.emit "ga.generation"
@@ -177,41 +247,45 @@ let run ?(params = default_params) ?on_generation ?evaluate_all ~encoding
        then Goldberg's linear scaling so the best individual receives about
        [c_mult] times the average selection pressure throughout the run
        (raw [worst - obj] is dominated by outliers early and collapses
-       diversity late). *)
-    let worst = Array.fold_left max neg_infinity objs in
-    let raw = Array.map (fun o -> worst -. o) objs in
-    let fitness =
-      let favg = Array.fold_left ( +. ) 0. raw /. float_of_int n in
-      let fmax = Array.fold_left max neg_infinity raw in
-      let fmin = Array.fold_left min infinity raw in
-      let c_mult = 2.0 in
-      if fmax <= favg || favg <= 0. then raw
-      else begin
-        let a, b =
-          if fmin > ((c_mult *. favg) -. fmax) /. (c_mult -. 1.) then
-            ( (c_mult -. 1.) *. favg /. (fmax -. favg),
-              favg *. (fmax -. (c_mult *. favg)) /. (fmax -. favg) )
-          else (favg /. (favg -. fmin), -.fmin *. favg /. (favg -. fmin))
-        in
-        Array.map (fun f -> Float.max 0. ((a *. f) +. b)) raw
-      end
-    in
+       diversity late).  The scaling rewrites [fitness] in place. *)
+    let worst = fold_max neg_infinity objs in
+    let fitness = Array.make (Array.length objs) 0. in
+    for i = 0 to Array.length objs - 1 do
+      fitness.(i) <- worst -. objs.(i)
+    done;
+    let favg = sum fitness /. float_of_int n in
+    let fmax = fold_max neg_infinity fitness in
+    let fmin = fold_min infinity fitness in
+    let c_mult = 2.0 in
+    if not (fmax <= favg || favg <= 0.) then begin
+      let a, b =
+        if fmin > ((c_mult *. favg) -. fmax) /. (c_mult -. 1.) then
+          ( (c_mult -. 1.) *. favg /. (fmax -. favg),
+            favg *. (fmax -. (c_mult *. favg)) /. (fmax -. favg) )
+        else (favg /. (favg -. fmin), -.fmin *. favg /. (favg -. fmin))
+      in
+      for i = 0 to Array.length fitness - 1 do
+        (* [Float.max 0. f], NaN kept, without the boxed call. *)
+        let f = (a *. fitness.(i)) +. b in
+        fitness.(i) <- (if f > 0. || Float.is_nan f then f else 0.)
+      done
+    end;
     let selected = select rng !pop fitness n in
-    let next = Array.make n [||] in
+    let next = !spare in
     let i = ref 0 in
     while !i < n - 1 do
-      let c1, c2 = crossover rng params.crossover_p selected.(!i) selected.(!i + 1) in
-      next.(!i) <- c1;
-      next.(!i + 1) <- c2;
+      crossover rng params.crossover_p selected.(!i) selected.(!i + 1) next.(!i)
+        next.(!i + 1);
       i := !i + 2
     done;
-    if !i < n then next.(!i) <- Array.copy selected.(!i);
+    if !i < n then Array.blit selected.(!i) 0 next.(!i) 0 len;
     Array.iter (mutate rng params.mutation_p) next;
     (* Optional elitism: re-insert the best individual seen so far in place
        of a random slot, guarding against losing the optimum to crossover
        or mutation. *)
     if params.elitism && !best_obj < infinity then
-      next.(Prng.int rng n) <- Array.copy !best_genes;
+      Array.blit !best_genes 0 next.(Prng.int rng n) 0 len;
+    spare := !pop;
     pop := next;
     (* Convergence: best within threshold of the population average. *)
     avg > 0. && (avg -. stats.best) /. avg <= params.convergence_threshold

@@ -68,37 +68,45 @@ let evaluate_all t candidates =
   (* Per-batch dedup: a GA generation revisits individuals freely, so cost
      each distinct memo-missing candidate exactly once (in first-occurrence
      order, for a deterministic work list) and fan those out over domains.
-     Every individual's value is served from the batch table built here —
-     keys are packed once per individual, and the batch never re-reads the
-     shared memo, so concurrent memo churn cannot invalidate a batch. *)
+     Every individual's value is served from the batch built here: [first]
+     maps each distinct key to its first index, whose entry of [costs] is
+     filled from the memo or the backend and copied to the duplicates at
+     the end — keys are packed once per individual, and the batch never
+     re-reads the shared memo, so concurrent memo churn cannot invalidate
+     a batch. *)
   let n = Array.length candidates in
   let keys = Array.map Memo.Key.of_values candidates in
-  let batch : float Memo.Table.t = Memo.Table.create n in
+  let first : int Memo.Table.t = Memo.Table.create n in
+  let source = Array.make n 0 in
+  let costs = Array.make n 0. in
   let missing = ref [] in
-  Array.iteri
-    (fun i values ->
-      let key = keys.(i) in
-      if Memo.Table.mem batch key then hit t
-      else
+  for i = 0 to n - 1 do
+    let key = keys.(i) in
+    match Memo.Table.find first key with
+    | j ->
+        hit t;
+        source.(i) <- j
+    | exception Not_found -> (
+        Memo.Table.add first key i;
+        source.(i) <- i;
         match Memo.find_opt t.memo key with
         | Some v ->
             hit t;
-            Memo.Table.replace batch key v
-        | None ->
-            (* Placeholder so duplicates dedup (and count as hits);
-               overwritten with the computed cost below. *)
-            Memo.Table.replace batch key nan;
-            missing := (key, values) :: !missing)
-    candidates;
+            costs.(i) <- v
+        | None -> missing := i :: !missing)
+  done;
   let missing = Array.of_list (List.rev !missing) in
-  let costs =
+  let fresh =
     Tiling_util.Par.map ~domains:t.domains
-      (fun (_, values) -> compute t values)
+      (fun i -> compute t candidates.(i))
       missing
   in
   Array.iteri
-    (fun i (key, _) ->
-      Memo.set t.memo key costs.(i);
-      Memo.Table.replace batch key costs.(i))
+    (fun k i ->
+      Memo.set t.memo keys.(i) fresh.(k);
+      costs.(i) <- fresh.(k))
     missing;
-  Array.map (fun key -> Memo.Table.find batch key) keys
+  for i = 0 to n - 1 do
+    costs.(i) <- costs.(source.(i))
+  done;
+  costs

@@ -5,15 +5,16 @@ module Key = struct
      with an avalanche step per word: decoded candidate vectors are short
      and their entries tiny (tile sizes, padding amounts), so a plain
      multiplicative fold would cluster in the low bits. *)
+  let mix h x =
+    let x = x * 0x9E3779B1 in
+    let x = x lxor (x lsr 16) in
+    (h lxor x) * 0x100000001b3
+
   let hash_values a =
-    let h = ref 0x811c9dc5 in
-    let mix x =
-      let x = x * 0x9E3779B1 in
-      let x = x lxor (x lsr 16) in
-      h := (!h lxor x) * 0x100000001b3
-    in
-    mix (Array.length a);
-    Array.iter mix a;
+    let h = ref (mix 0x811c9dc5 (Array.length a)) in
+    for i = 0 to Array.length a - 1 do
+      h := mix !h a.(i)
+    done;
     !h land max_int
 
   let of_values values =
@@ -30,8 +31,11 @@ module Key = struct
     let n = Array.length a.values in
     n = Array.length b.values
     &&
-    let rec go i = i = n || (a.values.(i) = b.values.(i) && go (i + 1)) in
-    go 0
+    let i = ref 0 in
+    while !i < n && a.values.(!i) = b.values.(!i) do
+      incr i
+    done;
+    !i = n
 end
 
 module Table = Hashtbl.Make (Key)
@@ -54,9 +58,11 @@ let create ?(size = 512) () =
 let set_tier t tier = Mutex.protect t.lock (fun () -> t.tier <- tier)
 
 let find_opt t k =
-  let hit, tier =
-    Mutex.protect t.lock (fun () -> (Table.find_opt t.table k, t.tier))
-  in
+  (* The probe cannot raise, so the lock needs no [Mutex.protect] (whose
+     closure and result tuple this path would allocate per candidate). *)
+  Mutex.lock t.lock;
+  let hit = Table.find_opt t.table k and tier = t.tier in
+  Mutex.unlock t.lock;
   match hit with
   | Some _ -> hit
   | None -> (

@@ -51,9 +51,22 @@ let multiples_in ~lo ~hi m =
   assert (m > 0);
   if hi < lo then 0 else floor_div hi m - floor_div (lo - 1) m
 
-let next_window_hit ~a ~g ~m ~len j0 =
+let lattice_inverse ~g ~m =
   assert (g > 0 && m > 0);
-  let h, u, _ = egcd g m in
+  (* [egcd]'s coefficient of [g] alone, so no tuple is built:
+     [g*x0 + m*y0 = r0] throughout, and [r0] ends at [gcd g m]. *)
+  let rec loop r0 x0 r1 x1 =
+    if r1 = 0 then x0
+    else
+      let q = r0 / r1 in
+      loop r1 x1 (r0 - (q * r1)) (x0 - (q * x1))
+  in
+  pos_mod (loop g 1 m 0) m
+
+let next_lattice_hit ~a ~g ~m ~u ~len j0 =
+  (* [g*u = h (mod m)] with [0 < h <= m], so [h] is [g*u mod m], or [m]
+     when that is 0. *)
+  let h = match pos_mod (pos_mod g m * u) m with 0 -> m | h -> h in
   let p = m / h in
   (* Search [j = j0 + d]: the values [(x + g*d) mod m] are exactly the
      residues congruent to [x] modulo [h], so the ones below [len] are
@@ -61,12 +74,11 @@ let next_window_hit ~a ~g ~m ~len j0 =
   let x = pos_mod (a + (g * j0)) m in
   let r = x mod h in
   let classes = min p (floor_div (len - 1 - r) h + 1) in
-  if classes <= 0 then None
+  if classes <= 0 then max_int
   else begin
-    (* [g*u = h (mod m)], so [g*d = r + h*i - x (mod m)] iff
-       [d = u * ((r - x)/h + i) (mod p)]: consecutive classes sit [u]
-       apart modulo [p]. *)
-    let u = pos_mod u p in
+    (* [g*d = r + h*i - x (mod m)] iff [d = u * ((r - x)/h + i) (mod p)]:
+       consecutive classes sit [u] apart modulo [p]. *)
+    let u = u mod p in
     let d = ref (pos_mod (u * pos_mod ((r - x) / h) p) p) in
     let best = ref !d in
     for _ = 2 to classes do
@@ -74,8 +86,12 @@ let next_window_hit ~a ~g ~m ~len j0 =
       if !d >= p then d := !d - p;
       if !d < !best then best := !d
     done;
-    Some (j0 + !best)
+    j0 + !best
   end
+
+let next_window_hit ~a ~g ~m ~len j0 =
+  let j = next_lattice_hit ~a ~g ~m ~u:(lattice_inverse ~g ~m) ~len j0 in
+  if j = max_int then None else Some j
 
 let crt (a, m) (b, n) =
   assert (m > 0 && n > 0);

@@ -48,6 +48,18 @@ val multiples_in : lo:int -> hi:int -> int -> int
 (** [multiples_in ~lo ~hi m] counts the multiples of [m > 0] inside the
     inclusive interval [\[lo, hi\]] (0 when the interval is empty). *)
 
+val lattice_inverse : g:int -> m:int -> int
+(** [lattice_inverse ~g ~m] is the [u] in [\[0, m)] with
+    [g*u = gcd g m (mod m)]: one extended Euclid run, without allocating.
+    [g] and [m] must be positive. *)
+
+val next_lattice_hit : a:int -> g:int -> m:int -> u:int -> len:int -> int -> int
+(** [next_lattice_hit ~a ~g ~m ~u ~len j0], with [u = lattice_inverse ~g
+    ~m], is [next_window_hit ~a ~g ~m ~len j0] without the option: the
+    least [j >= j0] with [(a + g*j) mod m < len], or [max_int] when no [j]
+    qualifies.  It allocates nothing and runs no Euclid, so a walk from
+    hit to hit computes [u] once. *)
+
 val next_window_hit : a:int -> g:int -> m:int -> len:int -> int -> int option
 (** [next_window_hit ~a ~g ~m ~len j0] is the least [j >= j0] with
     [(a + g*j) mod m < len], or [None] when no [j] qualifies.  With

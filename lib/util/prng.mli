@@ -6,7 +6,11 @@
     reproducible from a single seed. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state.  Its layout is private (the implementation
+    keeps it unboxed, so a draw allocates nothing); the stream is not: the
+    known-answer tests in test/test_prng.ml fix the outputs of [bits64],
+    [int], [float] and [bernoulli] for two seeds, and after [copy] and
+    [split], so seeded searches stay reproducible across releases. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a generator from a 64-bit seed. *)

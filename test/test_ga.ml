@@ -229,3 +229,125 @@ let suite =
       Alcotest.test_case "select: zero fitness is uniform" `Quick
         test_select_zero_fitness_uniform;
     ]
+
+(* Golden runs, recorded before the generation step moved to arrays: the
+   whole trajectory of two fixed searches (every random draw feeds it),
+   so a rewrite of selection, crossover, mutation or the fitness scaling
+   that changes a single decision fails here. *)
+let golden_objective v =
+  float_of_int (5 + (abs (v.(0) - 17) * 3) + abs (v.(1) - 40) + (v.(2) mod 7))
+
+let check_golden ~params ~seed ~genes ~best ~generations ~evaluations ~converged
+    ~history =
+  let encoding = Encoding.make [| 64; 48; 100 |] in
+  let rng = Tiling_util.Prng.create ~seed in
+  let r = Engine.run ~params ~encoding ~objective:golden_objective ~rng () in
+  Alcotest.(check (array int)) "best genes" genes r.Engine.best_genes;
+  Alcotest.(check (float 0.)) "best objective" best r.Engine.best_objective;
+  Alcotest.(check int) "generations" generations r.Engine.generations;
+  Alcotest.(check int) "evaluations" evaluations r.Engine.evaluations;
+  Alcotest.(check bool) "converged" converged r.Engine.converged;
+  Alcotest.(check (list string))
+    "history (generation best average distinct)" history
+    (List.map
+       (fun s ->
+         Printf.sprintf "%d %h %h %d" s.Engine.generation s.Engine.best
+           s.Engine.average s.Engine.distinct)
+       r.Engine.history)
+
+let test_golden_default () =
+  check_golden ~params:Engine.default_params ~seed:31
+    ~genes:[| 1; 0; 0; 3; 1; 1; 2; 1; 0; 0 |]
+    ~best:5. ~generations:24 ~evaluations:720 ~converged:true
+    ~history:
+      [
+        "1 0x1.9p+4 0x1.3dbbbbbbbbbbcp+6 30";
+        "2 0x1.7p+4 0x1.d59999999999ap+5 30";
+        "3 0x1.ep+3 0x1.7p+5 29";
+        "4 0x1.cp+3 0x1.5p+5 30";
+        "5 0x1.cp+3 0x1.1d11111111111p+5 28";
+        "6 0x1.cp+3 0x1.caaaaaaaaaaabp+4 27";
+        "7 0x1.cp+3 0x1.8088888888889p+4 28";
+        "8 0x1.6p+3 0x1.5b33333333333p+4 30";
+        "9 0x1.6p+3 0x1.5333333333333p+4 30";
+        "10 0x1.6p+3 0x1.2333333333333p+4 30";
+        "11 0x1.6p+3 0x1.3e66666666666p+4 28";
+        "12 0x1.8p+2 0x1.1911111111111p+4 28";
+        "13 0x1.8p+2 0x1.0eeeeeeeeeeefp+4 29";
+        "14 0x1.8p+2 0x1.23bbbbbbbbbbcp+4 28";
+        "15 0x1.8p+2 0x1.adddddddddddep+3 28";
+        "16 0x1.4p+2 0x1.1bbbbbbbbbbbcp+4 28";
+        "17 0x1.4p+2 0x1.7666666666666p+3 28";
+        "18 0x1.4p+2 0x1.799999999999ap+3 21";
+        "19 0x1.4p+2 0x1.1222222222222p+3 21";
+        "20 0x1.4p+2 0x1.ceeeeeeeeeeefp+2 20";
+        "21 0x1.4p+2 0x1.8444444444444p+2 13";
+        "22 0x1.4p+2 0x1.6444444444444p+2 9";
+        "23 0x1.4p+2 0x1.acccccccccccdp+2 5";
+        "24 0x1.4p+2 0x1.4666666666666p+2 4";
+      ]
+
+(* An odd population (the last selected individual passes uncrossed),
+   frequent mutation and partial crossover. *)
+let test_golden_odd () =
+  check_golden
+    ~params:
+      {
+        Engine.default_params with
+        Engine.population = 7;
+        mutation_p = 0.05;
+        crossover_p = 0.7;
+      }
+    ~seed:32
+    ~genes:[| 1; 0; 0; 3; 0; 3; 0; 2; 1; 0 |]
+    ~best:6. ~generations:25 ~evaluations:175 ~converged:false
+    ~history:
+      [
+        "1 0x1.6p+3 0x1.0b6db6db6db6ep+6 7";
+        "2 0x1.6p+3 0x1.18p+5 7";
+        "3 0x1.2p+3 0x1.e6db6db6db6dbp+4 6";
+        "4 0x1.2p+3 0x1.36db6db6db6dbp+4 7";
+        "5 0x1.2p+3 0x1.b924924924925p+4 7";
+        "6 0x1p+3 0x1.c6db6db6db6dbp+4 7";
+        "7 0x1p+3 0x1.5492492492492p+4 7";
+        "8 0x1p+3 0x1.b6db6db6db6dbp+4 7";
+        "9 0x1p+3 0x1.f249249249249p+3 6";
+        "10 0x1p+3 0x1.1b6db6db6db6ep+4 5";
+        "11 0x1p+3 0x1.adb6db6db6db7p+3 5";
+        "12 0x1.cp+2 0x1.a924924924925p+4 7";
+        "13 0x1.cp+2 0x1.b924924924925p+4 5";
+        "14 0x1.cp+2 0x1.a492492492492p+3 7";
+        "15 0x1.cp+2 0x1.c924924924925p+3 7";
+        "16 0x1.8p+2 0x1.1492492492492p+4 7";
+        "17 0x1.8p+2 0x1p+5 6";
+        "18 0x1.8p+2 0x1.36db6db6db6dbp+4 6";
+        "19 0x1.8p+2 0x1p+4 6";
+        "20 0x1.8p+2 0x1.0249249249249p+5 7";
+        "21 0x1.8p+2 0x1.0492492492492p+4 6";
+        "22 0x1.8p+2 0x1.b249249249249p+3 7";
+        "23 0x1.8p+2 0x1.4db6db6db6db7p+3 7";
+        "24 0x1.8p+2 0x1.0924924924925p+3 6";
+        "25 0x1.8p+2 0x1.9249249249249p+4 7";
+      ]
+
+(* [select]'s picks in order, for one seed: fractional expectations, and
+   a zero-total vector (the uniform fill). *)
+let test_select_golden () =
+  let pick seed pop fitness n =
+    Engine.select (Tiling_util.Prng.create ~seed) pop fitness n
+  in
+  Alcotest.(check (array int)) "fractional expectations"
+    [| 6; 1; 5; 2; 6; 4; 4; 4; 2; 0; 0; 0 |]
+    (pick 77 [| 0; 1; 2; 3; 4; 5; 6; 7 |]
+       [| 3.2; 0.5; 1.7; 0.; 2.9; 0.8; 1.1; 0.45 |]
+       12);
+  Alcotest.(check (array int)) "zero total" [| 4; 2; 0; 2; 0; 3; 1 |]
+    (pick 78 [| 0; 1; 2; 3; 4 |] [| 0.; 0.; 0.; 0.; 0. |] 7)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "golden run: paper parameters" `Quick test_golden_default;
+      Alcotest.test_case "golden run: odd population" `Quick test_golden_odd;
+      Alcotest.test_case "select: golden pick order" `Quick test_select_golden;
+    ]

@@ -178,3 +178,40 @@ let suite =
     qcheck prop_multiples;
     qcheck prop_next_window_hit;
   ]
+
+(* A walk with one inverse computed up front, as [Engine.windows] does
+   it: the inverse meets its contract, jumping from each hit to the next
+   visits exactly the hits a linear scan of [j0, last] finds, and the
+   answer past the last one is [max_int] only when no [j] qualifies at
+   all. *)
+let prop_lattice_walk =
+  QCheck.Test.make ~name:"lattice walk = linear scan of every hit" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          let* m = int_range 1 300 in
+          let* len = int_range 1 m in
+          let* g = int_range 1 1000 in
+          let* a = int_range (-3000) 3000 in
+          let* j0 = int_range (-20) 20 in
+          let* span = int_range 0 400 in
+          return (a, g, m, len, j0, j0 + span)))
+    (fun (a, g, m, len, j0, last) ->
+      let u = Intmath.lattice_inverse ~g ~m in
+      let rec walk j acc =
+        let hit = Intmath.next_lattice_hit ~a ~g ~m ~u ~len j in
+        if hit > last then (hit, List.rev acc) else walk (hit + 1) (hit :: acc)
+      in
+      let beyond, hits = walk j0 [] in
+      let scanned =
+        List.filter
+          (fun j -> Intmath.pos_mod (a + (g * j)) m < len)
+          (List.init (last - j0 + 1) (fun i -> j0 + i))
+      in
+      let none = Intmath.next_window_hit ~a ~g ~m ~len j0 = None in
+      0 <= u && u < m
+      && Intmath.pos_mod (g * u) m = Intmath.gcd g m mod m
+      && hits = scanned
+      && (beyond = max_int) = none)
+
+let suite = suite @ [ qcheck prop_lattice_walk ]

@@ -124,3 +124,59 @@ let suite =
     qcheck prop_shuffle_permutation;
     qcheck prop_sample_without_replacement;
   ]
+
+(* Known answers: the first outputs of two fixed seeds, recorded before
+   the generator's state moved out of a boxed [int64] field.  The layout
+   of the state is private; these values fix the stream itself, so every
+   seeded search, sample and fuzz case stays reproducible. *)
+let known_answer seed =
+  let g = Prng.create ~seed in
+  let bits = Array.init 3 (fun _ -> Prng.bits64 g) in
+  let ints = Array.init 4 (fun _ -> Prng.int g 1000) in
+  let floats = Array.init 3 (fun _ -> Prng.float g) in
+  let coins =
+    String.init 16 (fun _ -> if Prng.bernoulli g ~p:0.3 then '1' else '0')
+  in
+  let c = Prng.copy g in
+  let copied = Array.init 2 (fun _ -> Prng.bits64 c) in
+  let continued = Array.init 2 (fun _ -> Prng.bits64 g) in
+  let s = Prng.split g in
+  let split = Array.init 2 (fun _ -> Prng.bits64 s) in
+  (bits, ints, floats, coins, copied, continued, split, Prng.bits64 g)
+
+let test_known_answers () =
+  List.iter
+    (fun (seed, (bits, ints, floats, coins, copied, split, after_split)) ->
+      let bits', ints', floats', coins', copied', continued', split', after_split' =
+        known_answer seed
+      in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check (array int64)) (name "bits64") bits bits';
+      Alcotest.(check (array int)) (name "int 1000") ints ints';
+      Alcotest.(check (array (float 0.))) (name "float") floats floats';
+      Alcotest.(check string) (name "bernoulli 0.3") coins coins';
+      Alcotest.(check (array int64)) (name "after copy") copied copied';
+      Alcotest.(check (array int64)) (name "original after copy") copied continued';
+      Alcotest.(check (array int64)) (name "after split") split split';
+      Alcotest.(check int64) (name "parent after split") after_split after_split')
+    [
+      ( 42,
+        ( [| 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L |],
+          [| 91; 889; 528; 122 |],
+          [| 0x1.392025051c93p-3; 0x1.8578493c50ec1p-1; 0x1.f34e1428846dcp-3 |],
+          "0001101110010000",
+          [| 0x1d23fbdef237f1ccL; 0xa4b67120e03c4d22L |],
+          [| 0xed00ba1e6a23d764L; 0x7d81cad857551de9L |],
+          0x051953672e4acbbcL ) );
+      ( 2026,
+        ( [| 0xdd94f11027b22669L; 0xa50496c010ed9669L; 0x3517325f8146e6e3L |],
+          [| 733; 744; 830; 925 |],
+          [| 0x1.bb72c5cb44e8p-1; 0x1.0f3f931e20888p-3; 0x1.4b8bc06c0a51ep-1 |],
+          "0000000100000100",
+          [| 0x76e590291e56dd23L; 0xd59aca554c3f58dcL |],
+          [| 0xd12d5846c51c74f7L; 0x665f204d82153ce1L |],
+          0x4ea15ca410970c03L ) );
+    ]
+
+let suite =
+  suite @ [ Alcotest.test_case "known answers" `Quick test_known_answers ]

@@ -230,3 +230,58 @@ let suite =
     Alcotest.test_case "exact and sim backends search identically" `Quick
       test_exact_and_sim_backends_search_identically;
   ]
+
+(* The warm replay's allocation, a deterministic counter: [Driver.best_of]
+   (the paper's GA, three restarts) run twice over one [Eval] at 8 KB
+   direct-mapped with a 16-point sample.  The first run fills the memo, so
+   the second replays the same trajectory from memoised costs alone; the
+   figure is the words the test's domain allocates per individual of that
+   second run.  Each bound is about 1.5 times the figure measured when it
+   was set (MM 41, T2D 37, SOR 35, LU 37 words); a boxed [int64] PRNG
+   state, list-built selection and closure-built fitness allocated 238 to
+   319. *)
+let test_replay_allocation () =
+  List.iter
+    (fun (name, nest, bound) ->
+      let sample = Tiling_core.Sample.create ~n:16 ~seed:20020815 nest in
+      let eval =
+        Eval.create ~cache:Tiling_cache.Config.dm8k
+          ~prepare:(fun tiles ->
+            ( Tiling_ir.Transform.tile nest tiles,
+              Tiling_core.Sample.embed sample ~tiles ))
+          ()
+      in
+      let encoding =
+        Tiling_ga.Encoding.make (Tiling_ir.Transform.tile_spans nest)
+      in
+      let search () =
+        Driver.best_of ~label:"tiler" ~params:Tiling_ga.Engine.default_params
+          ~restarts:3 ~seed:20020815 ~salt:0x6A5 ~encoding ~eval ()
+      in
+      let first = search () in
+      let fresh = Eval.fresh eval and hits = Eval.hits eval in
+      let before = Gc.minor_words () in
+      let again = search () in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) (name ^ ": replay costs nothing new") fresh
+        (Eval.fresh eval);
+      Alcotest.(check (array int)) (name ^ ": replay finds the same best")
+        first.Tiling_ga.Engine.best_genes again.Tiling_ga.Engine.best_genes;
+      let per = words /. float_of_int (Eval.hits eval - hits) in
+      if per > bound then
+        Alcotest.failf "%s: %.1f words per individual, bound %.0f" name per
+          bound)
+    Tiling_kernels.Kernels.
+      [
+        ("MM 24", mm 24, 61.);
+        ("T2D 64", t2d 64, 55.);
+        ("SOR 32", sor 32, 52.);
+        ("LU 16", lu 16, 55.);
+      ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "warm replay allocation bound" `Quick
+        test_replay_allocation;
+    ]
