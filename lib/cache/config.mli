@@ -13,7 +13,10 @@ type t = private {
 
 val make : size:int -> line:int -> ?assoc:int -> unit -> t
 (** @raise Invalid_argument unless [line] and [size] are powers of two,
-    [line <= size], [assoc >= 1] and [assoc * line] divides [size]. *)
+    [line <= size], [assoc >= 1] and [assoc * line] divides [size].  So
+    [assoc], [line], [sets] and [sets * line] are powers of two in every
+    [t] (the type is private, so [make] builds them all): the CME point
+    solver divides by them with shifts and masks. *)
 
 val dm1k : t
 (** 1 KB direct-mapped, 32-byte lines — a small-modulus configuration

@@ -30,11 +30,20 @@ let m_engines = Metrics.counter "cme.engines.created"
    growing without bound.  Eviction only ever costs a recompute. *)
 
 module Shared_residues = struct
-  type key = int * int array (* modulus, canonical generators *)
+  (* Keys compare by integer loops; the polymorphic hash is kept, so the
+     buckets and shards are those of a generic table. *)
+  module Table = Hashtbl.Make (struct
+    type t = int * int array (* modulus, canonical generators *)
+
+    let equal ((m, a) : t) (n, b) = m = n && Intmath.array_equal a b
+    let hash (k : t) = Hashtbl.hash k
+  end)
+
+  type key = Table.key
 
   type shard = {
     lock : Mutex.t;
-    table : (key, Residue_set.t) Hashtbl.t;
+    table : Residue_set.t Table.t;
     order : key Queue.t; (* insertion order, for FIFO eviction *)
   }
 
@@ -46,7 +55,7 @@ module Shared_residues = struct
     Array.init shard_count (fun _ ->
         {
           lock = Mutex.create ();
-          table = Hashtbl.create 64;
+          table = Table.create 64;
           order = Queue.create ();
         })
 
@@ -56,12 +65,12 @@ module Shared_residues = struct
 
   let shard_of key = shards.(Hashtbl.hash key land (shard_count - 1))
 
-  let per_shard_cap () = max 1 (Atomic.get capacity / shard_count)
+  let per_shard_cap () = Int.max 1 (Atomic.get capacity / shard_count)
 
   let find key =
     let s = shard_of key in
     Mutex.protect s.lock (fun () ->
-        match Hashtbl.find_opt s.table key with
+        match Table.find_opt s.table key with
         | Some _ as r ->
             Metrics.incr m_hit;
             r
@@ -70,17 +79,17 @@ module Shared_residues = struct
             None)
 
   let evict_to s cap =
-    while Hashtbl.length s.table > cap do
+    while Table.length s.table > cap do
       let victim = Queue.pop s.order in
-      Hashtbl.remove s.table victim;
+      Table.remove s.table victim;
       Metrics.incr m_evict
     done
 
   let add key value =
     let s = shard_of key in
     Mutex.protect s.lock (fun () ->
-        if not (Hashtbl.mem s.table key) then begin
-          Hashtbl.replace s.table key value;
+        if not (Table.mem s.table key) then begin
+          Table.replace s.table key value;
           Queue.push key s.order;
           evict_to s (per_shard_cap ())
         end)
@@ -97,13 +106,13 @@ module Shared_residues = struct
     Array.iter
       (fun s ->
         Mutex.protect s.lock (fun () ->
-            Hashtbl.reset s.table;
+            Table.reset s.table;
             Queue.clear s.order))
       shards
 
   let length () =
     Array.fold_left
-      (fun acc s -> acc + Mutex.protect s.lock (fun () -> Hashtbl.length s.table))
+      (fun acc s -> acc + Mutex.protect s.lock (fun () -> Table.length s.table))
       0 shards
 end
 
@@ -116,7 +125,7 @@ let shared_residue_size = Shared_residues.length
 module Key_table = Hashtbl.Make (struct
   type t = int array
 
-  let equal (a : t) b = a = b
+  let equal = Intmath.array_equal
   let hash (a : t) = Hashtbl.hash a
 end)
 
@@ -126,7 +135,15 @@ type t = {
   nest : Nest.t;
   cache : Tiling_cache.Config.t;
   forms : Affine.t array;
-  modulus : int;  (* sets * line: addresses congruent mod this share a set *)
+  (* The geometry as powers of two ({!Tiling_cache.Config.make} admits no
+     other): a line is [2^line_shift] bytes, there are [2^sets_shift]
+     sets, and addresses congruent modulo [modulus = 2^mod_shift] share a
+     set, so the point solver's divisions by these are shifts and its
+     remainders masks. *)
+  modulus : int;
+  line_shift : int;
+  sets_shift : int;
+  mod_shift : int;
   static_lo : int array;
   static_hi : int array;  (* per-dim bounding interval of the loop values *)
   memo : Residue_set.t Key_table.t;
@@ -166,7 +183,11 @@ let create ?(window_cap = 512) nest cache =
       ]
     (fun () ->
       Metrics.incr m_engines;
-      let line = cache.Tiling_cache.Config.line in
+      let line = cache.Tiling_cache.Config.line
+      and sets = cache.Tiling_cache.Config.sets in
+      (* [log2_pow2] asserts that both are powers of two. *)
+      let line_shift = Intmath.log2_pow2 line
+      and sets_shift = Intmath.log2_pow2 sets in
       let forms = Array.map (fun r -> Nest.address_form nest r) nest.Nest.refs in
       let static_lo, static_hi = Nest.static_bounds nest in
       let depth = Nest.depth nest in
@@ -174,7 +195,10 @@ let create ?(window_cap = 512) nest cache =
         nest;
         cache;
         forms;
-        modulus = cache.Tiling_cache.Config.sets * line;
+        modulus = sets * line;
+        line_shift;
+        sets_shift;
+        mod_shift = sets_shift + line_shift;
         static_lo;
         static_hi;
         memo = Key_table.create 256;
@@ -216,19 +240,22 @@ let memo_size t = Key_table.length t.memo
    sub-image's generators in [by_mag] order.  These are exactly the orders
    the stable sorts of a generator list in entry order give. *)
 
+(* Top level rather than a closure over [img], which [order] would
+   allocate on every segment. *)
+let mag (img : Box.image) i = abs img.Box.steps.(i)
+
 let order t =
   let img = t.img in
   let n = img.Box.len in
-  let mag i = abs img.Box.steps.(i) in
   for i = 0 to n - 1 do
     let j = ref i in
-    while !j > 0 && mag t.by_mag.(!j - 1) > mag i do
+    while !j > 0 && mag img t.by_mag.(!j - 1) > mag img i do
       t.by_mag.(!j) <- t.by_mag.(!j - 1);
       decr j
     done;
     t.by_mag.(!j) <- i;
     let j = ref i in
-    while !j > 0 && mag t.by_size.(!j - 1) < mag i do
+    while !j > 0 && mag img t.by_size.(!j - 1) < mag img i do
       t.by_size.(!j) <- t.by_size.(!j - 1);
       decr j
     done;
@@ -263,7 +290,9 @@ let sub_max t const k =
 (* Residue images, memoised by generator signature: the generators'
    steps modulo [sets * line] and counts capped at their period, sorted.
    The signature is built in [t.keys], one buffer per generator count, so
-   a lookup that hits allocates nothing. *)
+   a lookup that hits allocates nothing.  The modulus is [2^mod_shift], so
+   a step [s] in [(0, m)] has [gcd s m] equal to its lowest set bit and
+   period [m / gcd s m] a shift of [m]. *)
 
 let residues t =
   let img = t.img in
@@ -271,9 +300,9 @@ let residues t =
   let n = ref 0 in
   let buf = t.keys.(Array.length t.keys - 1) in
   for g = 0 to img.Box.len - 1 do
-    let s = Intmath.pos_mod img.Box.steps.(g) m in
+    let s = img.Box.steps.(g) land (m - 1) in
     if s <> 0 then begin
-      let c = min img.Box.counts.(g) (m / Intmath.gcd s m) in
+      let c = Int.min img.Box.counts.(g) (m asr Intmath.log2_pow2 (s land (-s))) in
       let j = ref !n in
       while
         !j > 0
@@ -375,9 +404,10 @@ let rec hits_from t const k a b =
   if mx < a || mn > b then miss
   else if mn >= a && mx <= b then hit
   else if dense_from t k then
-    if lattice_hits ~c:const ~g:t.g (max a mn) (min b mx) then hit else miss
+    if lattice_hits ~c:const ~g:t.g (Int.max a mn) (Int.min b mx) then hit else miss
   else if t.fuel <= 0 then
-    inexact lor if lattice_hits ~c:const ~g:t.g (max a mn) (min b mx) then hit else miss
+    inexact
+    lor if lattice_hits ~c:const ~g:t.g (Int.max a mn) (Int.min b mx) then hit else miss
   else begin
     t.fuel <- t.fuel - 1;
     (* Branch on the coarsest generator; only the steps whose translate of
@@ -388,9 +418,10 @@ let rec hits_from t const k a b =
     (* Need step * j in [a - rmx, b - rmn]. *)
     let lo_n = a - rmx and hi_n = b - rmn in
     let j_lo =
-      max 0 (if step > 0 then Intmath.ceil_div lo_n step else Intmath.ceil_div hi_n step)
+      Int.max 0
+        (if step > 0 then Intmath.ceil_div lo_n step else Intmath.ceil_div hi_n step)
     and j_hi =
-      min (count - 1)
+      Int.min (count - 1)
         (if step > 0 then Intmath.floor_div hi_n step else Intmath.floor_div lo_n step)
     in
     let answer = ref miss in
@@ -407,14 +438,16 @@ let rec hits_from t const k a b =
 (* Interference counting.                                               *)
 
 (* Windows [[base + m*modulus, base + m*modulus + line)] holding a point
-   of a sparse lattice.  The lattice is [{mn + g*j : 0 <= j <= (mx - mn) /
-   g}] with [g > line], so a window holds at most one point and the
-   points' windows come in increasing order.  [take x] is offered each
-   such window index except [m0], and the walk stops once it answers
-   [false]: [Intmath.next_lattice_hit] jumps from one hitting point to the
-   next, so no empty window is visited; the inverse it needs is computed
-   once per walk, and nothing is allocated. *)
-let windows ~base ~modulus ~line ~mn ~mx ~g ~m0 take x =
+   of a sparse lattice, with [modulus = 2^shift].  The lattice is [{mn +
+   g*j : 0 <= j <= (mx - mn) / g}] with [g > line], so a window holds at
+   most one point and the points' windows come in increasing order.
+   [take x] is offered each such window index except [m0], and the walk
+   stops once it answers [false]: [Intmath.next_lattice_hit] jumps from
+   one hitting point to the next, so no empty window is visited; the
+   inverse it needs is computed once per walk, and nothing is
+   allocated. *)
+let windows ~base ~shift ~line ~mn ~mx ~g ~m0 take x =
+  let modulus = 1 lsl shift in
   let a = mn - base in
   let last = (mx - mn) / g in
   let u = Intmath.lattice_inverse ~g ~m:modulus in
@@ -422,14 +455,16 @@ let windows ~base ~modulus ~line ~mn ~mx ~g ~m0 take x =
   while !j <= last do
     let hit = Intmath.next_lattice_hit ~a ~g ~m:modulus ~u ~len:line !j in
     if hit <= last then begin
-      let m = Intmath.floor_div (a + (g * hit)) modulus in
+      let m = (a + (g * hit)) asr shift in
       j := if m = m0 || take x m then hit + 1 else last + 1
     end
     else j := last + 1
   done
 
 let lattice_windows ~base ~modulus ~line ~mn ~mx ~g ~m0 take =
-  windows ~base ~modulus ~line ~mn ~mx ~g ~m0 (fun take m -> take m) take
+  windows ~base ~shift:(Intmath.log2_pow2 modulus) ~line ~mn ~mx ~g ~m0
+    (fun take m -> take m)
+    take
 
 (* Count distinct memory lines, different from [line_a], mapping to cache
    set [set], touched between an access and its reuse source; counting
@@ -469,16 +504,16 @@ let add_window t m =
   not (full t)
 
 let count_access t v =
-  let m_big = t.modulus in
-  if Intmath.pos_mod (v - t.base) m_big < t.cache.Tiling_cache.Config.line then begin
-    let m = Intmath.floor_div (v - t.base) m_big in
+  let d = v - t.base in
+  if d land (t.modulus - 1) < t.cache.Tiling_cache.Config.line then begin
+    let m = d asr t.mod_shift in
     if m <> t.m0 then ignore (add_window t m : bool)
   end
 
 (* The segment of reference [b] over the current path box. *)
 let count_box_ref t cur b =
   let l_bytes = t.cache.Tiling_cache.Config.line in
-  let m_big = t.modulus and base = t.base and m0 = t.m0 in
+  let m_big = t.modulus and shift = t.mod_shift and base = t.base and m0 = t.m0 in
   let img = t.img in
   Box.eval_into img t.forms.(b) cur;
   let const = img.Box.const in
@@ -489,15 +524,15 @@ let count_box_ref t cur b =
     if dense_from t 0 then begin
       let g = t.g in
       if g > l_bytes then
-        windows ~base ~modulus:m_big ~line:l_bytes ~mn ~mx ~g ~m0 add_window t
+        windows ~base ~shift ~line:l_bytes ~mn ~mx ~g ~m0 add_window t
       else begin
         (* O(1) per window. *)
-        let m_hi = Intmath.floor_div (mx - base) m_big in
-        let m = ref (Intmath.floor_div (mn - base) m_big) in
+        let m_hi = (mx - base) asr shift in
+        let m = ref ((mn - base) asr shift) in
         while (not (full t)) && !m <= m_hi do
           if !m <> m0 then begin
             let a = base + (!m * m_big) and b = base + (!m * m_big) + l_bytes - 1 in
-            if lattice_hits ~c:const ~g (max a mn) (min b mx) then
+            if lattice_hits ~c:const ~g (Int.max a mn) (Int.min b mx) then
               ignore (add_window t !m : bool)
           end;
           incr m
@@ -509,8 +544,8 @@ let count_box_ref t cur b =
          probe the set window accordingly. *)
       Residue_set.hits_window (residues t) ~lo:(base - const) ~len:l_bytes
     then begin
-      let m_lo = Intmath.floor_div (mn - base) m_big in
-      let m_hi = Intmath.floor_div (mx - base) m_big in
+      let m_lo = (mn - base) asr shift in
+      let m_hi = (mx - base) asr shift in
       if m_hi - m_lo + 1 > t.window_cap then begin
         (* Too many windows for exact enumeration of a non-dense image:
            conservatively saturate. *)
@@ -556,8 +591,8 @@ let count_box t cur =
 (* Whether the associativity's worth of distinct lines interferes on the
    path from reference [src_ref] at [src] to [dst_ref] at [dst]. *)
 let saturated t ~src ~src_ref ~dst ~dst_ref ~set ~line_a =
-  t.base <- set * t.cache.Tiling_cache.Config.line;
-  t.m0 <- (line_a - set) / t.cache.Tiling_cache.Config.sets;
+  t.base <- set lsl t.line_shift;
+  t.m0 <- line_a asr t.sets_shift;
   t.nfound <- 0;
   let same_point = Nest.lex_compare src dst = 0 in
   if not same_point then
@@ -573,9 +608,7 @@ let saturated t ~src ~src_ref ~dst ~dst_ref ~set ~line_a =
   full t
 
 (* Memory line of reference [ref_id]'s access at [point]. *)
-let line_of t point ref_id =
-  Intmath.floor_div (Affine.eval t.forms.(ref_id) point)
-    t.cache.Tiling_cache.Config.line
+let line_of t point ref_id = Affine.eval t.forms.(ref_id) point asr t.line_shift
 
 (* ------------------------------------------------------------------ *)
 (* The reuse source.  An LRU cache measures a line's residency from its
@@ -636,12 +669,12 @@ let top_reaching t l ~lo ~hi ~step =
                 whi := tile - 1
               end
               else if ctrl < l then begin
-                wlo := max !wlo t.src.(ctrl);
-                whi := min !whi (t.src.(ctrl) + tile - 1)
+                wlo := Int.max !wlo t.src.(ctrl);
+                whi := Int.min !whi (t.src.(ctrl) + tile - 1)
               end
           | Nest.Range _ | Nest.Range_affine _ | Nest.Tile_ctrl _ -> ());
-          rlo := !rlo + min (cm * !wlo) (cm * !whi);
-          rhi := !rhi + max (cm * !wlo) (cm * !whi)
+          rlo := !rlo + Int.min (cm * !wlo) (cm * !whi);
+          rhi := !rhi + Int.max (cm * !wlo) (cm * !whi)
         end
       done;
       (* The hull reaches the line iff [x <= c*v <= y]. *)
@@ -658,7 +691,7 @@ let top_reaching t l ~lo ~hi ~step =
         vmax := Intmath.floor_div x c
       end
       else if x > 0 || y < 0 then vmax := lo - 1;
-      let top = min hi !vmax in
+      let top = Int.min hi !vmax in
       if top >= lo then begin
         let v = lo + ((top - lo) / step * step) in
         if v >= !vmin && v > !best then best := v
@@ -723,7 +756,7 @@ let rec descend t l ~below =
     let lo = Nest.lo_at nest t.src l and hi = Nest.hi_at nest t.src l in
     let step = Nest.step_of nest l in
     descend_from t l ~lo ~step
-      (top_reaching t l ~lo ~hi:(min hi (below - step)) ~step)
+      (top_reaching t l ~lo ~hi:(Int.min hi (below - step)) ~step)
   end
 
 (* [descend] at dim [l], trying value [v] first: when nothing below [v]
@@ -785,7 +818,7 @@ let reuse_sources t point ref_id =
    line, else the latest access to it at an earlier point. *)
 let classify t point ref_id =
   let line_a = line_of t point ref_id in
-  let set = Intmath.pos_mod line_a t.cache.Tiling_cache.Config.sets in
+  let set = line_a land (t.cache.Tiling_cache.Config.sets - 1) in
   let here = latest_at_point t point (ref_id - 1) ~line_a in
   let src_ref = if here >= 0 then here else latest_before t ~dst:point ~line_a in
   let src = if here >= 0 then point else t.src in

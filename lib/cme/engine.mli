@@ -33,9 +33,21 @@
     evaluated into the engine's scratch and counted at once, and the walk
     stops as soon as [assoc] distinct lines interfere.  The search's exact
     queries walk their boxes forward and stop at the first box and
-    reference that meets the line.  Neither builds a list: classifying an
-    access allocates only on a residue memo miss and for the sparse window
-    walk's options.
+    reference that meets the line.  Neither builds a list, and the rest of
+    the per-access work runs in the engine's scratch: classifying an
+    access allocates only when a residue signature misses the engine's
+    memo (the key's copy and, on a shared-cache miss, the residue image).
+    On [test_engine]'s 164-point samples with the shared cache emptied
+    first, that is 75, 20, 17 and 0.02 words per classification (tiled
+    MM 24, SOR 32, LU 16, T2D 64: 33, 13, 11 and 0 misses of about 1 000 to
+    1 500 words each), and a second pass over the same sample allocates
+    under 0.01.
+
+    The engine assumes the geometry {!Tiling_cache.Config.make} enforces:
+    the line size, the set count and their product [sets * line] are
+    powers of two.  {!create} takes their logarithms once, and every
+    division or remainder by them on the per-access path is a shift or a
+    mask; there is no other arithmetic path.
 
     Replacement queries are answered analytically: the image of a
     reference's address function over a path box is a constant plus a
@@ -62,8 +74,8 @@ type t
 
 val create :
   ?window_cap:int -> Tiling_ir.Nest.t -> Tiling_cache.Config.t -> t
-(** Builds the solver context: address forms, static loop bounds, the path
-    plan, memo tables and scratch.
+(** Builds the solver context: address forms, static loop bounds, the
+    cache geometry's logarithms, the path plan, memo tables and scratch.
     [window_cap] bounds the per-segment exact window enumeration (default
     512). *)
 
@@ -103,9 +115,10 @@ val lattice_windows :
 (** The interference walk over a sparse path image, exposed for tests.
     The image is the lattice [{mn + g*j : 0 <= j <= (mx - mn) / g}] with
     [g > line], and window [m] is [\[base + m*modulus, base + m*modulus +
-    line)].  [lattice_windows ... take] offers [take], in increasing order,
-    every window index other than [m0] whose window holds a lattice point,
-    and stops as soon as [take] answers [false].  Since [g > line], a
+    line)], with [modulus] a power of two.  [lattice_windows ... take]
+    offers [take], in increasing order, every window index other than
+    [m0] whose window holds a lattice point, and stops as soon as [take]
+    answers [false].  Since [g > line], a
     window holds at most one point; the walk jumps from one such point to
     the next in closed form ({!Tiling_util.Intmath.next_lattice_hit}) and
     never visits an empty window. *)

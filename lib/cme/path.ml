@@ -121,7 +121,7 @@ and tile_fork p ~rev f x l ~lo ~hi ~tile ~iv_lo ~iv_hi =
   let span = hi - lo + 1 in
   let rem = span mod tile in
   let partial_start = if rem = 0 then max_int else lo + (span - rem) in
-  let full_hi = min iv_hi (partial_start - tile) in
+  let full_hi = Int.min iv_hi (partial_start - tile) in
   let nfull = if full_hi < iv_lo then 0 else ((full_hi - iv_lo) / tile) + 1 in
   let no_partial = partial_start < iv_lo || partial_start > iv_hi in
   if rev then

@@ -35,7 +35,8 @@ let shift t c = { t with const = t.const + c }
 
 let is_const t = Array.for_all (fun c -> c = 0) t.coeffs
 
-let equal a b = a.const = b.const && a.coeffs = b.coeffs
+let equal a b =
+  a.const = b.const && Tiling_util.Intmath.array_equal a.coeffs b.coeffs
 
 let coeff t l = t.coeffs.(l)
 

@@ -161,15 +161,15 @@ let lo_at t point l =
   | Range { lo; _ } | Tile_ctrl { lo; _ } -> lo
   | Range_affine { lo; _ } -> Affine.eval lo point
   | Tile_elem { ctrl; _ } -> point.(ctrl)
-  | Tile_elem_affine { ctrl; lo; _ } -> max point.(ctrl) (Affine.eval lo point)
+  | Tile_elem_affine { ctrl; lo; _ } -> Int.max point.(ctrl) (Affine.eval lo point)
 
 let hi_at t point l =
   match t.loops.(l).shape with
   | Range { hi; _ } | Tile_ctrl { hi; _ } -> hi
   | Range_affine { hi; _ } -> Affine.eval hi point
-  | Tile_elem { ctrl; tile; hi } -> min (point.(ctrl) + tile - 1) hi
+  | Tile_elem { ctrl; tile; hi } -> Int.min (point.(ctrl) + tile - 1) hi
   | Tile_elem_affine { ctrl; tile; hi; _ } ->
-      min (point.(ctrl) + tile - 1) (Affine.eval hi point)
+      Int.min (point.(ctrl) + tile - 1) (Affine.eval hi point)
 
 let step_of t l =
   match t.loops.(l).shape with

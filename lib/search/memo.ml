@@ -71,10 +71,14 @@ let find_opt t k =
       | Some tier -> (
           (* Tier lookups run outside the lock: they may do IO and must not
              stall other domains probing the in-memory table.  A promoted
-             value is cached in the table but never re-saved. *)
+             value is cached in the table but never re-saved; the insert
+             cannot raise either, so it too takes the lock without a
+             closure. *)
           match tier.find k with
           | Some v as r ->
-              Mutex.protect t.lock (fun () -> Table.replace t.table k v);
+              Mutex.lock t.lock;
+              Table.replace t.table k v;
+              Mutex.unlock t.lock;
               r
           | None -> None))
 

@@ -13,18 +13,35 @@ let egcd a b =
   let ((g, x, y) as r) = loop a 1 0 b 0 1 in
   if g < 0 then (-g, -x, -y) else r
 
-let floor_div a b =
-  let q = a / b and r = a mod b in
+(* One division each: the remainder is recovered from the quotient, so
+   these inline to a single [idiv] at every call site. *)
+let[@inline] floor_div a b =
+  let q = a / b in
+  let r = a - (q * b) in
   if r <> 0 && r lxor b < 0 then q - 1 else q
 
-let ceil_div a b = -floor_div (-a) b
+let[@inline] ceil_div a b = -floor_div (-a) b
 
-let pos_mod a m =
+let[@inline] pos_mod a m =
   assert (m > 0);
   let r = a mod m in
   if r < 0 then r + m else r
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
+let[@inline] is_pow2 n = n > 0 && n land (n - 1) = 0
+
+(* [2^k mod 67] tells every [k] below 62 apart (2 is a primitive root
+   modulo the prime 67), and a remainder by a constant compiles to a
+   multiplication. *)
+let log2_by_mod67 =
+  let t = Array.make 67 (-1) in
+  for k = 0 to 61 do
+    t.((1 lsl k) mod 67) <- k
+  done;
+  t
+
+let[@inline] log2_pow2 n =
+  assert (is_pow2 n);
+  log2_by_mod67.(n mod 67)
 
 let ceil_log2 n =
   assert (n >= 1);
@@ -39,7 +56,7 @@ let pow b e =
   in
   loop 1 b e
 
-let clamp ~lo ~hi x =
+let clamp ~lo ~hi (x : int) =
   assert (lo <= hi);
   if x < lo then lo else if x > hi then hi else x
 
@@ -73,7 +90,7 @@ let next_lattice_hit ~a ~g ~m ~u ~len j0 =
      [r + h*i] for [i < classes]. *)
   let x = pos_mod (a + (g * j0)) m in
   let r = x mod h in
-  let classes = min p (floor_div (len - 1 - r) h + 1) in
+  let classes = Int.min p (floor_div (len - 1 - r) h + 1) in
   if classes <= 0 then max_int
   else begin
     (* [g*d = r + h*i - x (mod m)] iff [d = u * ((r - x)/h + i) (mod p)]:
@@ -92,6 +109,16 @@ let next_lattice_hit ~a ~g ~m ~u ~len j0 =
 let next_window_hit ~a ~g ~m ~len j0 =
   let j = next_lattice_hit ~a ~g ~m ~u:(lattice_inverse ~g ~m) ~len j0 in
   if j = max_int then None else Some j
+
+let array_equal (a : int array) (b : int array) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = n
 
 let crt (a, m) (b, n) =
   assert (m > 0 && n > 0);

@@ -15,18 +15,25 @@ val egcd : int -> int -> int * int * int
 
 val floor_div : int -> int -> int
 (** [floor_div a b] rounds the quotient towards negative infinity.
-    [b] must be non-zero. *)
+    [b] must be non-zero.  One division, inlined at the call site; for
+    [b = 2^k] it equals [a asr k]. *)
 
 val ceil_div : int -> int -> int
 (** [ceil_div a b] rounds the quotient towards positive infinity.
-    [b] must be non-zero. *)
+    [b] must be non-zero.  One division, inlined. *)
 
 val pos_mod : int -> int -> int
 (** [pos_mod a m] is the representative of [a] modulo [m] in [\[0, m)].
-    [m] must be positive. *)
+    [m] must be positive.  One division, inlined; for [m = 2^k] it equals
+    [a land (m - 1)]. *)
 
 val is_pow2 : int -> bool
 (** [is_pow2 n] is true iff [n] is a positive power of two. *)
+
+val log2_pow2 : int -> int
+(** [log2_pow2 n] is the [k] with [n = 2^k], for [0 <= k <= 61]: one
+    multiplication and a table lookup, no division.  [n] must be a power
+    of two. *)
 
 val ceil_log2 : int -> int
 (** [ceil_log2 n] is the smallest [k] with [2^k >= n].  [n] must be >= 1. *)
@@ -67,6 +74,10 @@ val next_window_hit : a:int -> g:int -> m:int -> len:int -> int -> int option
     [floor ((len - 1 - r) / h) + 1] residue classes modulo [m / h]; one
     modular inverse finds them, so the cost is [O(log m + len / h)]
     whatever the distance to the answer.  [g] and [m] must be positive. *)
+
+val array_equal : int array -> int array -> bool
+(** [array_equal a b] is [a = b] on [int] arrays, by an integer loop
+    rather than the polymorphic comparison. *)
 
 val crt : (int * int) -> (int * int) -> (int * int) option
 (** [crt (a, m) (b, n)] solves [x = a (mod m)], [x = b (mod n)] by the

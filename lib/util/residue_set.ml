@@ -58,7 +58,7 @@ let is_full t =
   done;
   !ok && t.words.(n - 1) = tail_mask t.m
 
-let equal a b = a.m = b.m && a.words = b.words
+let equal a b = a.m = b.m && Intmath.array_equal a.words b.words
 
 let union_into ~dst src =
   assert (dst.m = src.m);
@@ -173,7 +173,7 @@ let count_window t ~lo ~len =
   if len <= 0 then 0
   else begin
     let m = t.m in
-    let len = min len m in
+    let len = Int.min len m in
     let lo = Intmath.pos_mod lo m in
     let count_range a b =
       let acc = ref 0 in

@@ -144,3 +144,34 @@ let suite =
       Alcotest.test_case "writebacks" `Quick test_writebacks;
       Alcotest.test_case "report writebacks" `Quick test_report_has_writebacks;
     ]
+
+(* The point solver divides by the line size, the set count and their
+   product with shifts and masks, so [Config.make] must admit exactly the
+   geometries where all three are powers of two.  With [size] and [line]
+   powers of two, [line * assoc] divides [size] iff [assoc] is a power of
+   two and [line * assoc <= size]; every other triple is rejected. *)
+let prop_config_pow2 =
+  let pow2_or_any lo hi =
+    QCheck.Gen.(
+      oneof [ map (fun k -> 1 lsl k) (int_range lo hi); int_range (-2) (1 lsl hi) ])
+  in
+  QCheck.Test.make ~name:"config geometry is a power-of-two lattice" ~count:2000
+    (QCheck.make
+       ~print:(fun (size, line, assoc) ->
+         Printf.sprintf "size=%d line=%d assoc=%d" size line assoc)
+       QCheck.Gen.(
+         triple (pow2_or_any 0 20) (pow2_or_any 0 11)
+           (oneof [ map (fun k -> 1 lsl k) (int_range 0 6); int_range (-2) 24 ])))
+    (fun (size, line, assoc) ->
+      let pow2 = Tiling_util.Intmath.is_pow2 in
+      let admissible =
+        pow2 size && pow2 line && pow2 assoc && line * assoc <= size
+      in
+      match Config.make ~size ~line ~assoc () with
+      | c ->
+          admissible && pow2 c.Config.line && pow2 c.Config.sets
+          && pow2 (c.Config.sets * c.Config.line)
+          && c.Config.sets * c.Config.line * c.Config.assoc = size
+      | exception Invalid_argument _ -> not admissible)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_config_pow2 ]

@@ -843,6 +843,7 @@ let test_cli_request_retries () =
                  ("kernel", Json.String "mm");
                  ("n", Json.Int 24);
                  ("seed", Json.Int seed);
+                 ("backend", Json.String "cme-exact");
                  ("deadline_s", Json.Float 2.0);
                ]))
       ()

@@ -215,3 +215,32 @@ let prop_lattice_walk =
       && (beyond = max_int) = none)
 
 let suite = suite @ [ qcheck prop_lattice_walk ]
+
+(* The engine's shifts and masks stand for these helpers at power-of-two
+   divisors, negative dividends included. *)
+let prop_pow2_shift_mask =
+  QCheck.Test.make ~name:"asr/land = floor_div/pos_mod at 2^k" ~count:2000
+    QCheck.(pair (int_range 0 30) (int_range (-(1 lsl 40)) (1 lsl 40)))
+    (fun (k, x) ->
+      let p = 1 lsl k in
+      x asr k = Intmath.floor_div x p && x land (p - 1) = Intmath.pos_mod x p)
+
+let test_log2_pow2 () =
+  for k = 0 to 61 do
+    Alcotest.(check int) (Printf.sprintf "2^%d" k) k (Intmath.log2_pow2 (1 lsl k))
+  done
+
+let prop_array_equal =
+  QCheck.Test.make ~name:"array_equal = structural equality" ~count:1000
+    QCheck.(
+      pair (array_of_size Gen.(int_range 0 4) (int_range (-2) 2))
+        (array_of_size Gen.(int_range 0 4) (int_range (-2) 2)))
+    (fun (a, b) -> Intmath.array_equal a b = (a = b))
+
+let suite =
+  suite
+  @ [
+      qcheck prop_pow2_shift_mask;
+      Alcotest.test_case "log2_pow2" `Quick test_log2_pow2;
+      qcheck prop_array_equal;
+    ]

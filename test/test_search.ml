@@ -285,3 +285,47 @@ let suite =
       Alcotest.test_case "warm replay allocation bound" `Quick
         test_replay_allocation;
     ]
+
+(* The memo's tier protocol, over a tier that counts its calls: a tier hit
+   is promoted into the table once, so a later probe of that key does not
+   reach the tier; a promoted value is never written back; a tier miss
+   promotes nothing; a fresh [set] saves exactly once. *)
+let test_memo_tier_protocol () =
+  let key values = Memo.Key.of_values values in
+  let backing = Memo.Table.create 8 in
+  let finds = ref 0 and saves = ref [] in
+  let tier =
+    {
+      Memo.find =
+        (fun k ->
+          incr finds;
+          Memo.Table.find_opt backing k);
+      save = (fun k v -> saves := (Memo.Key.values k, v) :: !saves);
+    }
+  in
+  Memo.Table.replace backing (key [| 4; 8 |]) 0.25;
+  let memo = Memo.create () in
+  Memo.set_tier memo (Some tier);
+  let check_find name k want =
+    Alcotest.(check (option (float 0.))) name want (Memo.find_opt memo k)
+  in
+  check_find "tier hit" (key [| 4; 8 |]) (Some 0.25);
+  Alcotest.(check int) "the hit asked the tier" 1 !finds;
+  Alcotest.(check int) "the hit is promoted" 1 (Memo.length memo);
+  check_find "promoted hit" (key [| 4; 8 |]) (Some 0.25);
+  Alcotest.(check int) "a promoted key does not reach the tier" 1 !finds;
+  Alcotest.(check int) "promoted once" 1 (Memo.length memo);
+  check_find "tier miss" (key [| 4; 9 |]) None;
+  Alcotest.(check int) "the miss asked the tier" 2 !finds;
+  Alcotest.(check int) "a miss promotes nothing" 1 (Memo.length memo);
+  Alcotest.(check int) "promotions are never saved" 0 (List.length !saves);
+  Memo.set memo (key [| 2; 2 |]) 0.5;
+  Alcotest.(check (list (pair (array int) (float 0.))))
+    "a fresh set saves once" [ ([| 2; 2 |], 0.5) ] !saves;
+  check_find "set value" (key [| 2; 2 |]) (Some 0.5);
+  Alcotest.(check int) "a set key does not reach the tier" 2 !finds;
+  Alcotest.(check int) "promotions stay unsaved" 1 (List.length !saves)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "memo tier protocol" `Quick test_memo_tier_protocol ]
