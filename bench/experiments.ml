@@ -26,8 +26,6 @@ type tiling_result = {
   before_total : float;
   after_total : float;
   tiles : int array;
-  generations : int;
-  converged : bool;
 }
 
 let tile_cache : (string * int * int, tiling_result) Hashtbl.t = Hashtbl.create 64
@@ -48,8 +46,6 @@ let optimize_kernel name n (cache : Tiling_cache.Config.t) =
           before_total = total o.Tiler.before;
           after_total = total o.Tiler.after;
           tiles = o.Tiler.tiles;
-          generations = o.Tiler.ga.Tiling_ga.Engine.generations;
-          converged = o.Tiler.ga.Tiling_ga.Engine.converged;
         }
       in
       Hashtbl.replace tile_cache key r;
@@ -428,267 +424,6 @@ let solver_accuracy () =
       Fmt.pr "window_cap=%-5d miss=%.2f%% fallbacks=%d memoised_images=%d time=%.3fs@."
         cap miss fb memo dt)
     [ 1; 8; 512 ]
-
-(* ------------------------------------------------------------------ *)
-(* Search throughput: the evaluation layer's parallel speedup           *)
-
-type throughput_row = {
-  t_kernel : string;
-  t_size : int;
-  t_domains : int;
-  t_evals : int;        (* fresh (distinct) candidate evaluations *)
-  t_wall_s : float;
-  t_evals_per_s : float;
-}
-
-let throughput_rows : throughput_row list ref = ref []
-
-let throughput () =
-  Fmt.pr "@.== Search throughput: GA tile search, fresh evals/sec by domains ==@.";
-  Fmt.pr "%-14s %8s %8s %10s %12s@." "Kernel_N" "domains" "evals" "wall (s)"
-    "evals/sec";
-  let domain_counts =
-    match Tiling_util.Par.recommended_domains () with
-    | 1 -> [ 1 ]
-    | d -> [ 1; d ]
-  in
-  List.iter
-    (fun (name, n) ->
-      List.iter
-        (fun domains ->
-          let nest = build name n in
-          let opts = { tiler_opts with Tiler.restarts = 1; domains } in
-          let t0 = Unix.gettimeofday () in
-          let o = Tiler.optimize ~opts nest Tiling_cache.Config.dm8k in
-          let wall = Unix.gettimeofday () -. t0 in
-          let evals = o.Tiler.distinct_candidates in
-          let rate = float_of_int evals /. Float.max 1e-9 wall in
-          throughput_rows :=
-            {
-              t_kernel = name;
-              t_size = n;
-              t_domains = domains;
-              t_evals = evals;
-              t_wall_s = wall;
-              t_evals_per_s = rate;
-            }
-            :: !throughput_rows;
-          Fmt.pr "%-14s %8d %8d %10.2f %12.0f@."
-            (Printf.sprintf "%s_%d" name n)
-            domains evals wall rate)
-        domain_counts)
-    [ ("T2D", 500); ("MM", 200) ]
-
-(* ------------------------------------------------------------------ *)
-(* Candidate-evaluation throughput: the hot path end-to-end             *)
-
-(* Measures Eval.evaluate_all itself — backend cost, memoisation, batch
-   plumbing and domain fan-out — on synthetic GA generations of fresh
-   candidates, with the shared residue cache cold and warm.  Batches are
-   deliberately small (a converged GA's generations mostly hit the memo,
-   so the work lists that reach Par.map are short), the regime where
-   per-batch overheads dominate. *)
-
-type eval_row = {
-  e_kernel : string;
-  e_size : int;
-  e_cache_size : int; (* cache capacity in bytes *)
-  e_backend : string;
-  e_residues : string; (* "cold" | "warm" *)
-  e_domains : int;
-  e_evals : int;
-  e_wall_s : float;
-  e_evals_per_s : float;
-  e_fallbacks : int;
-      (* symbolic-backend evaluations that fell back to sampling during
-         this run (0 for every other backend) *)
-}
-
-let eval_rows : eval_row list ref = ref []
-
-let bench_quick () =
-  match Sys.getenv_opt "TILING_BENCH_QUICK" with
-  | Some ("" | "0") | None -> false
-  | Some _ -> true
-
-(* Deterministic stream of distinct tile-vector candidates, chopped into
-   GA-generation-sized batches.  Distinct by construction (an increasing
-   hidden counter folded into each vector) so every candidate misses the
-   memo and reaches the backend. *)
-let candidate_batches ~spans ~batches ~batch_size ~seed =
-  let rng = Tiling_util.Prng.create ~seed in
-  let d = Array.length spans in
-  let counter = ref 0 in
-  Array.init batches (fun _ ->
-      Array.init batch_size (fun _ ->
-          incr counter;
-          Array.init d (fun l ->
-              if l = 0 then 1 + (!counter mod spans.(0))
-              else 1 + Tiling_util.Prng.int rng spans.(l))))
-
-let eval_throughput () =
-  Fmt.pr "@.== Eval throughput: evaluate_all evals/sec ==@.";
-  Fmt.pr "%-10s %-10s %-4s %7s %8s %10s %12s %5s@." "Kernel_N" "backend"
-    "res" "domains" "evals" "wall (s)" "evals/sec" "fb";
-  let quick = bench_quick () in
-  let domain_counts = if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  let batches = if quick then 8 else 24 in
-  let batch_size = 4 in
-  let sample_points = 32 in
-  (* sim replays the full iteration space per candidate, so it gets small
-     problem sizes; cme-sample scales with the sample, not the space. *)
-  let dm8k = Tiling_cache.Config.dm8k in
-  let dm1k = Tiling_cache.Config.dm1k in
-  let configs =
-    [
-      ("MM", 200, Tiling_search.Backend.cme_sample, batches, dm8k);
-      ("SOR", 500, Tiling_search.Backend.cme_sample, batches, dm8k);
-      (* Triangular datapoint: the throughput cost of exactness on
-         non-rectangular spaces. *)
-      ("LU", 100, Tiling_search.Backend.cme_sample, batches, dm8k);
-      (* Same-series baseline for the symbolic MM_64 rows below. *)
-      ("MM", 64, Tiling_search.Backend.cme_sample, batches, dm8k);
-      ("MM", 24, Tiling_search.Backend.sim, batches, dm8k);
-      ("SOR", 48, Tiling_search.Backend.sim, batches, dm8k);
-      ("LU", 24, Tiling_search.Backend.sim, batches, dm8k);
-      (* Closed-form backend: bounded-mode estimates; MM exercises the
-         probe-row aggregator on the paper's primary kernel (rectangular =>
-         zero fallbacks, enforced below in quick mode), LU is the
-         guaranteed fallback-rate datapoint (triangular => every eval
-         samples).  The dm1k rows are the small-modulus series the CI
-         smoke gates on. *)
-      ("MM", 200, Tiling_search.Backend.symbolic, 2, dm8k);
-      ("MM", 64, Tiling_search.Backend.symbolic, 2, dm8k);
-      ("MM", 64, Tiling_search.Backend.symbolic, 2, dm1k);
-      ("LU", 100, Tiling_search.Backend.symbolic, 2, dm8k);
-    ]
-  in
-  let fallback_counter = Tiling_obs.Metrics.counter "symbolic.fallbacks" in
-  let metrics_were = Tiling_obs.Metrics.enabled () in
-  Tiling_obs.Metrics.set_enabled true;
-  let rows_before = !eval_rows in
-  List.iter
-    (fun (name, n, backend, batches, cache) ->
-      let nest = build name n in
-      let sample = Tiling_core.Sample.create ~n:sample_points ~seed nest in
-      let spans = Tiling_ir.Transform.tile_spans nest in
-      let all_batches =
-        candidate_batches ~spans ~batches ~batch_size ~seed:(seed + n)
-      in
-      let measure ~residues ~domains =
-        if residues = "cold" then Tiling_cme.Engine.clear_shared_residues ();
-        (* A fresh service per run: an empty objective memo means every
-           candidate reaches the backend; "warm" refers only to the shared
-           residue cache primed by the previous pass. *)
-        let eval =
-          Tiling_search.Eval.create ~backend ~domains ~cache
-            ~prepare:(fun tiles ->
-              ( Tiling_ir.Transform.tile nest tiles,
-                Tiling_core.Sample.embed sample ~tiles ))
-            ()
-        in
-        let fb0 = Tiling_obs.Metrics.counter_value fallback_counter in
-        let t0 = Unix.gettimeofday () in
-        Array.iter
-          (fun batch -> ignore (Tiling_search.Eval.evaluate_all eval batch))
-          all_batches;
-        let wall = Unix.gettimeofday () -. t0 in
-        let evals = Tiling_search.Eval.fresh eval in
-        let fallbacks =
-          Tiling_obs.Metrics.counter_value fallback_counter - fb0
-        in
-        let rate = float_of_int evals /. Float.max 1e-9 wall in
-        eval_rows :=
-          {
-            e_kernel = name;
-            e_size = n;
-            e_cache_size = cache.Tiling_cache.Config.size;
-            e_backend = backend.Tiling_search.Backend.name;
-            e_residues = residues;
-            e_domains = domains;
-            e_evals = evals;
-            e_wall_s = wall;
-            e_evals_per_s = rate;
-            e_fallbacks = fallbacks;
-          }
-          :: !eval_rows;
-        Fmt.pr "%-10s %-10s %-4s %7d %8d %10.3f %12.0f %5d@."
-          (Printf.sprintf "%s_%d/%dk" name n (cache.Tiling_cache.Config.size / 1024))
-          backend.Tiling_search.Backend.name residues domains evals wall rate
-          fallbacks
-      in
-      List.iter
-        (fun domains ->
-          measure ~residues:"cold" ~domains;
-          measure ~residues:"warm" ~domains)
-        domain_counts)
-    configs;
-  Tiling_obs.Metrics.set_enabled metrics_were;
-  (* Quick mode doubles as the CI smoke, so it gates two regressions the
-     human-readable table would merely display: the symbolic backend must
-     never fall back on rectangular MM candidates (the bounded mode only
-     errors on affine nests), and per-evaluation latency must stay within
-     an order of magnitude of the measured envelope — a refusal or probe
-     regression shows up as a 100-1000x blowup, far outside machine
-     noise. *)
-  if quick then begin
-    let this_run =
-      let before = rows_before in
-      List.filteri (fun i _ -> i < List.length !eval_rows - List.length before)
-        !eval_rows
-    in
-    List.iter
-      (fun r ->
-        if r.e_backend = "symbolic" then begin
-          if r.e_kernel = "MM" && r.e_fallbacks > 0 then
-            failwith
-              (Printf.sprintf
-                 "eval-throughput gate: symbolic backend fell back %d times \
-                  on MM_%d (expected 0 on rectangular nests)"
-                 r.e_fallbacks r.e_size);
-          let per_eval = r.e_wall_s /. float_of_int (max 1 r.e_evals) in
-          let bound = if r.e_kernel = "LU" then 0.25 else 0.10 in
-          if per_eval > bound then
-            failwith
-              (Printf.sprintf
-                 "eval-throughput gate: symbolic %s_%d spent %.3f s/eval \
-                  (bound %.2f): refusal path or probe budget regressed"
-                 r.e_kernel r.e_size per_eval bound)
-        end)
-      this_run
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Differential fuzzer throughput: oracle trials per second             *)
-
-type fuzz_row = {
-  f_trials : int;
-  f_accesses : int;
-  f_wall_s : float;
-  f_trials_per_s : float;
-}
-
-let fuzz_rows : fuzz_row list ref = ref []
-
-let fuzz_throughput () =
-  Fmt.pr "@.== Fuzz throughput: CME-vs-simulator oracle trials/sec ==@.";
-  let trials = 300 in
-  let o = Tiling_fuzz.Driver.run ~trials ~seed:1 () in
-  let open Tiling_fuzz.Driver in
-  if o.mismatches <> [] then
-    Fmt.pr "WARNING: %d oracle mismatches during the bench run@."
-      (List.length o.mismatches);
-  let rate = float_of_int o.trials_run /. Float.max 1e-9 o.wall_s in
-  fuzz_rows :=
-    {
-      f_trials = o.trials_run;
-      f_accesses = o.accesses;
-      f_wall_s = o.wall_s;
-      f_trials_per_s = rate;
-    }
-    :: !fuzz_rows;
-  Fmt.pr "%d trials (%d accesses compared) in %.2f s: %.0f trials/sec@."
-    o.trials_run o.accesses o.wall_s rate
 
 (* ------------------------------------------------------------------ *)
 (* Equation census: the section 2.4 size explosion                      *)

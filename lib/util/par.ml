@@ -54,5 +54,3 @@ let map ~domains f xs =
       (function Some v -> v | None -> assert false (* all chunks covered *))
       results
   end
-
-let recommended_domains () = Pool.default_size ()

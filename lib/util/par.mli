@@ -25,8 +25,3 @@ val map : domains:int -> ('a -> 'b) -> 'a array -> 'b array
     enabled, each chunk emits a [par.chunk] span on its domain's track.
     The two instrumentation paths are independent: neither pays the
     other's cost. *)
-
-val recommended_domains : unit -> int
-(** A sensible default degree of parallelism: the [TILING_DOMAINS]
-    environment variable when set (validated; see {!Pool.default_size}),
-    otherwise the machine's recommended domain count capped at 8. *)

@@ -152,6 +152,89 @@ let test_backend_fallback_on_triangular () =
   in
   Alcotest.(check bool) "census-scale" true (cost >= 0. && cost <= total)
 
+(* A deterministic stream of distinct tile vectors in batches of a GA
+   generation's size: the first component follows a counter, so every
+   candidate misses the objective memo and reaches the backend. *)
+let candidate_batches ~spans ~batches ~batch_size ~seed =
+  let rng = Tiling_util.Prng.create ~seed in
+  let counter = ref 0 in
+  Array.init batches (fun _ ->
+      Array.init batch_size (fun _ ->
+          incr counter;
+          Array.mapi
+            (fun l span ->
+              if l = 0 then 1 + (!counter mod span)
+              else 1 + Tiling_util.Prng.int rng span)
+            spans))
+
+let test_backend_eval_gates () =
+  (* The symbolic backend behind the evaluation service: fresh candidates
+     on 1 and 4 domains, with the shared residue cache cold and then warm.
+     The bounded mode refuses only affine nests, so rectangular MM must
+     never fall back to sampling, at the 1 KB modulus as well as at 8 KB;
+     LU 100 falls back on every candidate.  Each evaluation here takes
+     about a millisecond or less, so the per-evaluation bounds catch a
+     refusal or probe-budget regression (a 100-1000x blow-up), not machine
+     noise. *)
+  let seed = 20020815 in
+  let fallbacks = Tiling_obs.Metrics.counter "symbolic.fallbacks" in
+  Tiling_obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tiling_obs.Metrics.set_enabled false)
+  @@ fun () ->
+  List.iter
+    (fun (kernel, n, cache) ->
+      let nest = (Tiling_kernels.Kernels.find kernel).build n in
+      let sample = Tiling_core.Sample.create ~n:32 ~seed nest in
+      let batches =
+        candidate_batches
+          ~spans:(Tiling_ir.Transform.tile_spans nest)
+          ~batches:2 ~batch_size:4 ~seed:(seed + n)
+      in
+      List.iter
+        (fun domains ->
+          List.iter
+            (fun residues ->
+              if residues = "cold" then Engine.clear_shared_residues ();
+              let eval =
+                Tiling_search.Eval.create
+                  ~backend:Tiling_search.Backend.symbolic ~domains ~cache
+                  ~prepare:(fun tiles ->
+                    ( Tiling_ir.Transform.tile nest tiles,
+                      Tiling_core.Sample.embed sample ~tiles ))
+                  ()
+              in
+              let label =
+                Printf.sprintf "%s_%d at %d B, %d domains, %s residues"
+                  kernel n cache.Tiling_cache.Config.size domains residues
+              in
+              let fb0 = Tiling_obs.Metrics.counter_value fallbacks in
+              let t0 = Unix.gettimeofday () in
+              Array.iter
+                (fun batch ->
+                  ignore (Tiling_search.Eval.evaluate_all eval batch))
+                batches;
+              let wall = Unix.gettimeofday () -. t0 in
+              let evals = Tiling_search.Eval.fresh eval in
+              Alcotest.(check int) (label ^ ": fresh evaluations") 8 evals;
+              if kernel = "MM" then
+                Alcotest.(check int)
+                  (label ^ ": symbolic.fallbacks added")
+                  0
+                  (Tiling_obs.Metrics.counter_value fallbacks - fb0);
+              let per_eval = wall /. float_of_int evals in
+              let bound = if kernel = "LU" then 0.25 else 0.10 in
+              if per_eval > bound then
+                Alcotest.failf "%s: %.3f s per evaluation (bound %.2f s)"
+                  label per_eval bound)
+            [ "cold"; "warm" ])
+        [ 1; 4 ])
+    [
+      ("MM", 200, Tiling_cache.Config.dm8k);
+      ("MM", 64, Tiling_cache.Config.dm8k);
+      ("MM", 64, Tiling_cache.Config.dm1k);
+      ("LU", 100, Tiling_cache.Config.dm8k);
+    ]
+
 let test_entry_reach_pinned () =
   (* The reach values drive window sizing (hoisted to one per-nest pass
      over the reuse vectors); pin them so a hoisting or reuse-analysis
@@ -241,6 +324,8 @@ let suite =
       test_backend_matches_exact;
     Alcotest.test_case "backend falls back on triangular" `Quick
       test_backend_fallback_on_triangular;
+    Alcotest.test_case "backend eval: no MM fallback, per-eval bound" `Quick
+      test_backend_eval_gates;
     Alcotest.test_case "entry reach pinned" `Quick test_entry_reach_pinned;
     Alcotest.test_case "census = exact at dm8k, no fallback" `Slow
       test_census_dm8k_matches_exact;

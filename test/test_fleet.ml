@@ -590,6 +590,106 @@ let spawn_worker ~sock ~store =
     |]
     Unix.stdin null null
 
+(* ------------------------------------------------------------------ *)
+(* Concurrent clients on separate connections                           *)
+
+(* Four client connections at once, each sending [requests] MM 12 tile
+   requests one after another; [seed_of c i] is connection [c]'s [i]-th
+   seed.  Every reply must be ok.  Returns each reply's tiles, by
+   connection and slot.  Threads only record; the checks run here. *)
+let fanout_round sock ~label ~requests ~seed_of =
+  let replies = Array.make_matrix 4 requests None in
+  let threads =
+    List.init 4 (fun c ->
+        Thread.create
+          (fun c ->
+            match Client.connect (Netio.Unix_sock sock) with
+            | Error m -> replies.(c).(0) <- Some (Error ("connect: " ^ m))
+            | Ok client ->
+                Fun.protect ~finally:(fun () -> Client.close client)
+                @@ fun () ->
+                for i = 0 to requests - 1 do
+                  let params =
+                    [
+                      ("kernel", Json.String "mm");
+                      ("n", Json.Int 12);
+                      ("seed", Json.Int (seed_of c i));
+                    ]
+                  in
+                  replies.(c).(i) <-
+                    Some (Client.call client ~meth:"tile" ~params)
+                done)
+          c)
+  in
+  List.iter Thread.join threads;
+  Array.mapi
+    (fun c row ->
+      Array.mapi
+        (fun i reply ->
+          let where =
+            Printf.sprintf "%s round, connection %d, request %d" label c i
+          in
+          match reply with
+          | None -> Alcotest.failf "%s: no reply" where
+          | Some (Error m) -> Alcotest.failf "%s: transport error: %s" where m
+          | Some (Ok envelope) -> (
+              match Client.result_of_response envelope with
+              | Error e ->
+                  Alcotest.failf "%s: server error %s: %s" where
+                    (Protocol.code_to_string e.Protocol.code)
+                    e.Protocol.message
+              | Ok r -> (
+                  match get [ "outcome"; "tiles" ] r with
+                  | Some tiles -> Json.to_string tiles
+                  | None -> Alcotest.failf "%s: no tiles" where)))
+        row)
+    replies
+
+(* Cold, warm and coalesce rounds through the daemon or router on [sock]:
+   eight distinct-seed searches, the same eight again (answered from the
+   store, so the tiles must be byte-identical), then one fresh search
+   asked by every connection at once, which must get one answer. *)
+let fanout_rounds sock =
+  let seed_of c i = 1000 + (c * 2) + i in
+  let cold = fanout_round sock ~label:"cold" ~requests:2 ~seed_of in
+  let warm = fanout_round sock ~label:"warm" ~requests:2 ~seed_of in
+  Alcotest.(check (array (array string)))
+    "warm tiles byte-identical to cold" cold warm;
+  let same =
+    fanout_round sock ~label:"coalesce" ~requests:1 ~seed_of:(fun _ _ -> 777)
+  in
+  Array.iter
+    (fun row ->
+      Alcotest.(check string) "one answer to the shared request"
+        same.(0).(0) row.(0))
+    same
+
+let test_daemon_fanout () =
+  let sock = temp_path ".sock" and store = temp_path ".store" in
+  let cfg =
+    {
+      Server.default_config with
+      addr = Netio.Unix_sock sock;
+      store_path = Some store;
+      workers = 2;
+    }
+  in
+  let server = Thread.create (fun () -> Server.run cfg) () in
+  await_socket sock;
+  Fun.protect
+    ~finally:(fun () ->
+      shutdown_quietly sock;
+      Thread.join server;
+      rm_store store;
+      rm_f sock)
+  @@ fun () ->
+  fanout_rounds sock;
+  let client = connect sock in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  let stats = call_ok client ~meth:"stats" ~params:[] in
+  Alcotest.(check bool) "the warm round read the store" true
+    (get_int [ "store"; "hits" ] stats > 0)
+
 let test_router_e2e () =
   let w1 = temp_path ".w1.sock"
   and w2 = temp_path ".w2.sock"
@@ -647,6 +747,8 @@ let test_router_e2e () =
   let first = call_ok client ~meth:"tile" ~params:(tile_params 21 12) in
   Alcotest.(check bool) "forwarded tile carries tiles" true
     (get [ "outcome"; "tiles" ] first <> None);
+  (* four separate connections at once, cold, warm and coalesced *)
+  fanout_rounds rsock;
   (* duplicate concurrent requests share a shard key, so they meet on
      one worker, whose scheduler evaluates once and flags every member *)
   let params = tile_params 22 12 in
@@ -934,6 +1036,8 @@ let suite =
       test_client_pipelining;
     Alcotest.test_case "daemon: 8 identical requests, 1 evaluation" `Quick
       test_daemon_coalescing_e2e;
+    Alcotest.test_case "daemon: four connections, cold and warm rounds"
+      `Quick test_daemon_fanout;
     Alcotest.test_case "router: coalesce, kill-one-worker failover, drain"
       `Quick test_router_e2e;
     Alcotest.test_case "tiler request --retries rides out overload" `Quick

@@ -52,8 +52,8 @@ let test_parallel_tiler_equivalent () =
     seq.Tiling_core.Tiler.ga.Tiling_ga.Engine.best_objective
     par.Tiling_core.Tiler.ga.Tiling_ga.Engine.best_objective
 
-let test_recommended_domains () =
-  let d = Par.recommended_domains () in
+let test_default_domains () =
+  let d = Pool.default_size () in
   Alcotest.(check bool) "in [1, 8]" true (d >= 1 && d <= 8)
 
 (* [Pool.run] clamps its helper count to the hardware unless TILING_DOMAINS
@@ -114,15 +114,15 @@ let test_pool_shutdown_idempotent () =
 
 let test_domains_env_override () =
   with_domains_env "5" (fun () ->
-      Alcotest.(check int) "override honoured" 5 (Par.recommended_domains ()));
+      Alcotest.(check int) "override honoured" 5 (Pool.default_size ()));
   with_domains_env "nope" (fun () ->
       Alcotest.check_raises "invalid override rejected"
         (Invalid_argument
            "TILING_DOMAINS: expected an integer in [1, 128], got \"nope\"")
-        (fun () -> ignore (Par.recommended_domains ())));
+        (fun () -> ignore (Pool.default_size ())));
   with_domains_env "" (fun () ->
       Alcotest.(check bool) "empty override ignored" true
-        (Par.recommended_domains () >= 1))
+        (Pool.default_size () >= 1))
 
 let test_evaluate_all_domains_equivalent () =
   (* The full candidate-evaluation service must be byte-identical whether
@@ -153,7 +153,7 @@ let suite =
     Alcotest.test_case "edge sizes" `Quick test_map_edge_sizes;
     Alcotest.test_case "exception propagation" `Quick test_exceptions_propagate;
     Alcotest.test_case "parallel tiler equivalence" `Slow test_parallel_tiler_equivalent;
-    Alcotest.test_case "recommended domains" `Quick test_recommended_domains;
+    Alcotest.test_case "recommended domains" `Quick test_default_domains;
     Alcotest.test_case "pool worker exception" `Quick test_pool_worker_exception;
     Alcotest.test_case "nested map runs inline" `Quick test_nested_map_runs_inline;
     Alcotest.test_case "pool shutdown idempotent" `Quick
