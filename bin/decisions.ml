@@ -1,11 +1,10 @@
 (* The decision digest behind [tiler digest]: every access of a fixed
    corpus classified by the CME point solver, one line per case.
 
-   A case line is [id hash fallbacks=N verdict]: [hash] is the 64-bit
-   FNV-1a hash of the outcome codes (hit 0, replacement 1, compulsory 2) of
-   every access in execution order, [N] the engine's fallback count and
-   [verdict] the per-reference comparison with the LRU simulator (agree,
-   mismatch, or inconclusive when the engine fell back).  A search line
+   A case line is [id hash verdict]: [hash] is the 64-bit FNV-1a hash of
+   the outcome codes (hit 0, replacement 1, compulsory 2) of every access
+   in execution order and [verdict] the per-reference comparison with the
+   LRU simulator (agree or mismatch).  A search line
    records one default GA search on one domain, where its counters are
    deterministic, and ends with the FNV-1a hash of the search's
    [Tiler.to_json] (tiles, both reports and the GA's whole history), so the
@@ -40,7 +39,7 @@ let geometries =
     (2048, 128, 1); (4096, 32, 8);
   ]
 
-(* Hash of every outcome, fallback count and simulator verdict. *)
+(* Hash of every outcome and the simulator verdict. *)
 let case_line id nest cache =
   let engine = Engine.create nest cache in
   let nrefs = Array.length nest.Nest.refs in
@@ -67,13 +66,8 @@ let case_line id nest cache =
         || s.compulsory <> compulsory.(r)
       then agree := false)
     sim.Tiling_trace.Run.per_ref;
-  let fallbacks = Engine.fallback_count engine in
-  let verdict =
-    if !agree then "agree"
-    else if fallbacks > 0 then "inconclusive"
-    else "mismatch"
-  in
-  Printf.printf "%s %016Lx fallbacks=%d %s\n%!" id !h fallbacks verdict
+  Printf.printf "%s %016Lx %s\n%!" id !h
+    (if !agree then "agree" else "mismatch")
 
 (* Untiled plus three tilings drawn from one fixed seed, per kernel and
    size, each at every geometry. *)
@@ -129,11 +123,10 @@ let fuzz_cases () =
               match r.verdict with
               | Tiling_fuzz.Oracle.Agree -> "agree"
               | Tiling_fuzz.Oracle.Mismatch _ -> "mismatch"
-              | Tiling_fuzz.Oracle.Inconclusive _ -> "inconclusive"
+              | Tiling_fuzz.Oracle.Inconclusive -> "inconclusive"
             in
             case_line id (Tiling_fuzz.Case.nest case) (Tiling_fuzz.Case.cache case);
-            Printf.printf "%s/closed-form fallbacks=%d %s\n%!" id r.fallbacks
-              verdict
+            Printf.printf "%s/closed-form %s\n%!" id verdict
       in
       ignore
         (Tiling_fuzz.Driver.run ~knobs ~on_trial ~mode ~trials ~seed ()
@@ -170,11 +163,11 @@ let searches () =
       in
       Printf.printf
         "search/%s/n%d tiles=%s fresh=%d generations=%d hit=%d replacement=%d \
-         compulsory=%d fallbacks=%d json=%016Lx\n%!"
+         compulsory=%d json=%016Lx\n%!"
         name n (tiles_label o.Tiling_core.Tiler.tiles) fresh (counter "ga.generations") (counter "cme.classify.hit")
         (counter "cme.classify.replacement")
         (counter "cme.classify.compulsory")
-        (counter "cme.fallbacks") json)
+        json)
     [ ("MM", 100); ("T2D", 500); ("SOR", 500); ("LU", 48) ];
   Metrics.set_enabled false
 

@@ -487,8 +487,8 @@ let oracle_mode_arg =
   in
   let doc =
     "CME side of the comparison: $(b,exact) classifies every point, \
-     $(b,symbolic) aggregates through the closed-form solver (refusals \
-     count as inconclusive)."
+     $(b,symbolic) aggregates through the closed-form solver (its \
+     refusals count as inconclusive)."
   in
   Arg.(value & opt mode_conv `Exact & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
@@ -536,12 +536,11 @@ let fuzz_cmd =
         let human ppf =
           Fmt.pf ppf
             "fuzz: %d trials (%.1f/s), %d agree, %d inconclusive \
-             (fallback-masked), %d fallback trials, %d accesses compared@."
+             (refused), %d accesses compared@."
             o.Tiling_fuzz.Driver.trials_run
             (float_of_int o.Tiling_fuzz.Driver.trials_run
             /. max 1e-9 o.Tiling_fuzz.Driver.wall_s)
             o.Tiling_fuzz.Driver.agreed o.Tiling_fuzz.Driver.inconclusive
-            o.Tiling_fuzz.Driver.fallback_trials
             o.Tiling_fuzz.Driver.accesses;
           List.iter
             (fun (m : Tiling_fuzz.Driver.mismatch) ->
@@ -581,8 +580,6 @@ let fuzz_cmd =
               ("agreed", Tiling_obs.Json.Int o.Tiling_fuzz.Driver.agreed);
               ( "inconclusive",
                 Tiling_obs.Json.Int o.Tiling_fuzz.Driver.inconclusive );
-              ( "fallback_trials",
-                Tiling_obs.Json.Int o.Tiling_fuzz.Driver.fallback_trials );
               ("accesses", Tiling_obs.Json.Int o.Tiling_fuzz.Driver.accesses);
               ("wall_s", Tiling_obs.Json.Float o.Tiling_fuzz.Driver.wall_s);
               ( "mismatches",
@@ -674,16 +671,14 @@ let oracle_cmd =
                     let verdict =
                       match r.Tiling_fuzz.Oracle.verdict with
                       | Tiling_fuzz.Oracle.Agree -> "agree"
-                      | Tiling_fuzz.Oracle.Inconclusive _ ->
-                          "inconclusive (fallback-masked)"
+                      | Tiling_fuzz.Oracle.Inconclusive ->
+                          "inconclusive (refused)"
                       | Tiling_fuzz.Oracle.Mismatch _ ->
                           failed := true;
                           "MISMATCH"
                     in
-                    Fmt.pr "%-9s n=%-4d %-8s %s (%d accesses, %d fallbacks)@."
-                      spec.name size label verdict
-                      r.Tiling_fuzz.Oracle.accesses
-                      r.Tiling_fuzz.Oracle.fallbacks;
+                    Fmt.pr "%-9s n=%-4d %-8s %s (%d accesses)@." spec.name
+                      size label verdict r.Tiling_fuzz.Oracle.accesses;
                     match r.Tiling_fuzz.Oracle.verdict with
                     | Tiling_fuzz.Oracle.Mismatch _ ->
                         Fmt.pr "%a@." Tiling_fuzz.Oracle.pp_result r
@@ -701,7 +696,7 @@ let oracle_cmd =
     (Cmd.info "oracle"
        ~doc:
          "Exhaustive CME-vs-simulator check over the kernel suite (exit 1 on \
-          any fallback-free disagreement); the CI acceptance gate")
+          any disagreement); the CI acceptance gate")
     Term.(
       ret
         (const run $ kernels_arg $ oracle_size_arg $ cache_size_arg $ line_arg
@@ -713,8 +708,8 @@ let digest_cmd =
     (Cmd.info "digest"
        ~doc:
          "Print one line per case of a fixed corpus: a hash of every \
-          access's CME outcome, the fallback count and the verdict against \
-          the simulator (test/decisions.digest is the committed output)")
+          access's CME outcome and the verdict against the simulator \
+          (test/decisions.digest is the committed output)")
     Term.(const run $ const ())
 
 let baselines_cmd =

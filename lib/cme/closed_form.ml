@@ -490,8 +490,6 @@ let census_estimate ~budget ~domains engine plans ~nrefs ~forms ~modulus ~line
         { engine; nrefs; forms; modulus; line; budget = shared_budget }
       in
       let m = Array.make nrefs 0 and c = Array.make nrefs 0 in
-      let fallbacks_before = Engine.fallback_count engine in
-      let extra_fallbacks = ref 0 in
       let walk_box plan =
         let n0 =
           if Array.length plan.outers = 0 then 1
@@ -515,17 +513,13 @@ let census_estimate ~budget ~domains engine plans ~nrefs ~forms ~modulus ~line
           let nchunks = min n0 (domains * 4) in
           let chunk_m = Array.init nchunks (fun _ -> Array.make nrefs 0) in
           let chunk_c = Array.init nchunks (fun _ -> Array.make nrefs 0) in
-          let chunk_fb = Array.make nchunks 0 in
           let chunk_exn : exn option array = Array.make nchunks None in
           Metrics.add m_parallel plan.rows;
           Tiling_util.Pool.run ~helpers:(domains - 1) ~nchunks (fun i ->
               try
                 let lo = i * n0 / nchunks and hi = (i + 1) * n0 / nchunks in
                 if lo < hi then begin
-                  let eng =
-                    Engine.create ~window_cap:(Engine.window_cap engine) nest
-                      cache
-                  in
+                  let eng = Engine.create nest cache in
                   let ctx =
                     {
                       engine = eng;
@@ -539,15 +533,13 @@ let census_estimate ~budget ~domains engine plans ~nrefs ~forms ~modulus ~line
                   let memo = Hashtbl.create 64 in
                   census_walk_range ctx plan ~memo
                     ~counts:(chunk_m.(i), chunk_c.(i))
-                    ~lo ~hi;
-                  chunk_fb.(i) <- Engine.fallback_count eng
+                    ~lo ~hi
                 end
               with e -> chunk_exn.(i) <- Some e);
           Array.iter (function Some e -> raise e | None -> ()) chunk_exn;
           for i = 0 to nchunks - 1 do
             add_row_counts ~into:(m, c)
-              { rc_m = chunk_m.(i); rc_c = chunk_c.(i) };
-            extra_fallbacks := !extra_fallbacks + chunk_fb.(i)
+              { rc_m = chunk_m.(i); rc_c = chunk_c.(i) }
           done
         end
       in
@@ -561,11 +553,7 @@ let census_estimate ~budget ~domains engine plans ~nrefs ~forms ~modulus ~line
                   r_compulsory = c.(r);
                 })
           in
-          Ok
-            (Estimator.census_report ~points:total_points ~per_ref
-               ~fallbacks:
-                 (Engine.fallback_count engine - fallbacks_before
-                 + !extra_fallbacks))
+          Ok (Estimator.census_report ~points:total_points ~per_ref)
       | exception Out_of_budget -> Error `Budget
     end
   end
@@ -580,7 +568,6 @@ let bounded_estimate ~budget engine plans ~nrefs ~forms ~modulus ~line
   in
   let k_total = max 1 (min 16 (budget / 75_000)) in
   let m = Array.make nrefs 0 and c = Array.make nrefs 0 in
-  let fallbacks_before = Engine.fallback_count engine in
   (* Boxes carrying a sliver of the space (partial-tile remainders) are
      not worth their own probe rows: they are handled in a second pass by
      applying the per-reference miss rates observed on the probed boxes.
@@ -675,9 +662,7 @@ let bounded_estimate ~budget engine plans ~nrefs ~forms ~modulus ~line
           r_compulsory = c.(r);
         })
   in
-  Ok
-    (Estimator.census_report ~points:total_points ~per_ref
-       ~fallbacks:(Engine.fallback_count engine - fallbacks_before))
+  Ok (Estimator.census_report ~points:total_points ~per_ref)
 
 let estimate ?(budget = 2_000_000) ?(mode = Census) ?(domains = 1) engine =
   let nest = Engine.nest engine in

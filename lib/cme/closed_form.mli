@@ -91,6 +91,4 @@ val estimate :
     returns [Error `Budget].  In [Bounded] mode [budget] only scales the
     number of probe rows and the call always succeeds on non-affine
     nests.  [domains > 1] parallelises Census row walks over the process
-    pool without changing any count.  The report's [fallbacks] field
-    counts the engine's conservative answers during this call, exactly as
-    the sampling estimators do. *)
+    pool without changing any count. *)

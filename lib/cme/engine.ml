@@ -1,16 +1,11 @@
 open Tiling_ir
 open Tiling_util
 
-let log_src = Logs.Src.create "tiling.cme" ~doc:"CME point solver"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 module Metrics = Tiling_obs.Metrics
 
 let m_hit = Metrics.counter "cme.classify.hit"
 let m_replacement = Metrics.counter "cme.classify.replacement"
 let m_compulsory = Metrics.counter "cme.classify.compulsory"
-let m_fallbacks = Metrics.counter "cme.fallbacks"
 let m_memo_hit = Metrics.counter "cme.residues.memo.hit"
 let m_memo_miss = Metrics.counter "cme.residues.memo.miss"
 let m_engines = Metrics.counter "cme.engines.created"
@@ -147,13 +142,11 @@ type t = {
   static_lo : int array;
   static_hi : int array;  (* per-dim bounding interval of the loop values *)
   memo : Residue_set.t Key_table.t;
-  window_cap : int;
-  mutable fallbacks : int;
   (* Scratch, reused by every query, so an engine serves one domain: the
      path walk's plan and box; one reference's image over the current box
-     with its generator orders, the last denseness gcd, the residue
-     signature buffers and the interval query's fuel; and the distinct
-     interfering windows found so far (at most [assoc]). *)
+     with its generator orders, the last denseness gcd and the residue
+     signature buffers; and the distinct interfering windows found so far
+     (at most [assoc]). *)
   plan : Path.plan;
   img : Box.image;
   by_mag : int array;
@@ -161,7 +154,6 @@ type t = {
   rank : int array;
   mutable g : int;
   keys : int array array;
-  mutable fuel : int;
   found : int array;
   mutable nfound : int;
   mutable base : int;  (* the count's set's first window, set * line *)
@@ -174,7 +166,7 @@ type t = {
   mutable hi_addr : int;
 }
 
-let create ?(window_cap = 512) nest cache =
+let create nest cache =
   Tiling_obs.Span.with_ "cme.engine.create"
     ~attrs:
       [
@@ -202,8 +194,6 @@ let create ?(window_cap = 512) nest cache =
         static_lo;
         static_hi;
         memo = Key_table.create 256;
-        window_cap;
-        fallbacks = 0;
         plan = Path.plan nest;
         img = Box.image depth;
         by_mag = Array.make depth 0;
@@ -211,7 +201,6 @@ let create ?(window_cap = 512) nest cache =
         rank = Array.make depth 0;
         g = 0;
         keys = Array.init (depth + 1) (fun n -> Array.make (2 * n) 0);
-        fuel = 0;
         found = Array.make cache.Tiling_cache.Config.assoc 0;
         nfound = 0;
         base = 0;
@@ -225,8 +214,6 @@ let create ?(window_cap = 512) nest cache =
 
 let nest t = t.nest
 let cache t = t.cache
-let window_cap t = t.window_cap
-let fallback_count t = t.fallbacks
 let memo_size t = Key_table.length t.memo
 
 (* ------------------------------------------------------------------ *)
@@ -358,7 +345,7 @@ let residues t =
    ([period * s <= span + g] — e.g. {216 x 5} + {936 x 4} covers every
    class but each one only inside its own disjoint window).  The
    generators are added by increasing magnitude.  Rejecting a dense set
-   costs only the exact fallback query, never correctness.
+   costs only the recursive interval query, never correctness.
 
    [dense_from t k] tests the sub-image [by_size.(k..)] and leaves its
    gcd in [t.g]. *)
@@ -387,29 +374,16 @@ let lattice_hits ~c ~g a b =
   else if g = 0 then a <= c && c <= b
   else Intmath.multiples_in ~lo:(a - c) ~hi:(b - c) g > 0
 
-(* Recursion steps allowed to one interval query, or to one segment's
-   window walk. *)
-let interval_fuel = 4096
-
 (* Exact query: does [const] plus the sub-image [by_size.(k..)] intersect
-   [a, b]?  [t.fuel] bounds the recursion; on exhaustion the query answers
-   with the dense approximation and reports it.  The answer is [hit],
-   [miss], or either with the [inexact] bit set. *)
-let miss = 0
-let hit = 1
-let inexact = 2
-
+   [a, b]?  A single generator is dense, so the recursion peels at most
+   all but one generator. *)
 let rec hits_from t const k a b =
   let mn = sub_min t const k and mx = sub_max t const k in
-  if mx < a || mn > b then miss
-  else if mn >= a && mx <= b then hit
+  if mx < a || mn > b then false
+  else if mn >= a && mx <= b then true
   else if dense_from t k then
-    if lattice_hits ~c:const ~g:t.g (Int.max a mn) (Int.min b mx) then hit else miss
-  else if t.fuel <= 0 then
-    inexact
-    lor if lattice_hits ~c:const ~g:t.g (Int.max a mn) (Int.min b mx) then hit else miss
+    lattice_hits ~c:const ~g:t.g (Int.max a mn) (Int.min b mx)
   else begin
-    t.fuel <- t.fuel - 1;
     (* Branch on the coarsest generator; only the steps whose translate of
        the remaining sub-image can reach [a, b] are explored. *)
     let i = t.by_size.(k) in
@@ -424,14 +398,13 @@ let rec hits_from t const k a b =
       Int.min (count - 1)
         (if step > 0 then Intmath.floor_div hi_n step else Intmath.floor_div lo_n step)
     in
-    let answer = ref miss in
+    let hit = ref false in
     let j = ref j_lo in
-    while !answer land hit = 0 && !j <= j_hi do
-      answer := !answer lor hits_from t (const + (step * !j)) (k + 1) a b;
+    while (not !hit) && !j <= j_hi do
+      hit := hits_from t (const + (step * !j)) (k + 1) a b;
       incr j
     done;
-    (* A hit is exact whatever the queries before it answered. *)
-    if !answer land hit <> 0 then hit else !answer
+    !hit
   end
 
 (* ------------------------------------------------------------------ *)
@@ -478,8 +451,7 @@ let lattice_windows ~base ~modulus ~line ~mn ~mx ~g ~m0 take =
    point's later references, latest first; then the path's boxes from the
    last to the first, each with its references from the last to the
    first.  The order decides nothing but which segments are still looked
-   at once the count reaches the associativity, and so which conservative
-   answers are counted.
+   at once the count reaches the associativity.
 
    A dense segment's image is exactly the lattice [const + g*Z] cut to
    [mn, mx], so it is answered in closed form without a residue image:
@@ -487,7 +459,7 @@ let lattice_windows ~base ~modulus ~line ~mn ~mx ~g ~m0 take =
    walk stops within a few steps; with [g > L] [lattice_windows] visits
    only the windows that hold one.  Other segments are prefiltered by
    their residue image, then walked window by window with exact interval
-   queries. *)
+   queries, however many windows the image spans. *)
 
 let full t = t.nfound >= t.cache.Tiling_cache.Config.assoc
 
@@ -521,61 +493,31 @@ let count_box_ref t cur b =
   else begin
     order t;
     let mn = sub_min t const 0 and mx = sub_max t const 0 in
-    if dense_from t 0 then begin
-      let g = t.g in
-      if g > l_bytes then
-        windows ~base ~shift ~line:l_bytes ~mn ~mx ~g ~m0 add_window t
-      else begin
-        (* O(1) per window. *)
-        let m_hi = (mx - base) asr shift in
-        let m = ref ((mn - base) asr shift) in
-        while (not (full t)) && !m <= m_hi do
-          if !m <> m0 then begin
-            let a = base + (!m * m_big) and b = base + (!m * m_big) + l_bytes - 1 in
-            if lattice_hits ~c:const ~g (Int.max a mn) (Int.min b mx) then
-              ignore (add_window t !m : bool)
-          end;
-          incr m
-        done
-      end
-    end
+    let dense = dense_from t 0 in
+    let g = t.g in
+    if dense && g > l_bytes then
+      windows ~base ~shift ~line:l_bytes ~mn ~mx ~g ~m0 add_window t
     else if
+      dense
       (* The image residues are those of the generators shifted by const;
          probe the set window accordingly. *)
-      Residue_set.hits_window (residues t) ~lo:(base - const) ~len:l_bytes
+      || Residue_set.hits_window (residues t) ~lo:(base - const) ~len:l_bytes
     then begin
-      let m_lo = (mn - base) asr shift in
+      (* Window by window: O(1) each for a dense image, an interval query
+         otherwise. *)
       let m_hi = (mx - base) asr shift in
-      if m_hi - m_lo + 1 > t.window_cap then begin
-        (* Too many windows for exact enumeration of a non-dense image:
-           conservatively saturate. *)
-        t.fallbacks <- t.fallbacks + 1;
-        Metrics.incr m_fallbacks;
-        if t.fallbacks = 1 then
-          Log.debug (fun m ->
-              m "window enumeration saturated (%d windows > cap %d); \
-                 counting conservatively"
-                (m_hi - m_lo + 1) t.window_cap);
-        for m = m_lo to m_lo + t.cache.Tiling_cache.Config.assoc do
-          if m <> m0 then ignore (add_window t m : bool)
-        done
-      end
-      else begin
-        t.fuel <- interval_fuel;
-        let m = ref m_lo in
-        while (not (full t)) && !m <= m_hi do
-          if !m <> m0 then begin
-            let a = base + (!m * m_big) in
-            let answer = hits_from t const 0 a (a + l_bytes - 1) in
-            if answer land inexact <> 0 then begin
-              t.fallbacks <- t.fallbacks + 1;
-              Metrics.incr m_fallbacks
-            end;
-            if answer land hit <> 0 then ignore (add_window t !m : bool)
-          end;
-          incr m
-        done
-      end
+      let m = ref ((mn - base) asr shift) in
+      while (not (full t)) && !m <= m_hi do
+        if !m <> m0 then begin
+          let a = base + (!m * m_big) in
+          let b = a + l_bytes - 1 in
+          if
+            if dense then lattice_hits ~c:const ~g (Int.max a mn) (Int.min b mx)
+            else hits_from t const 0 a b
+          then ignore (add_window t !m : bool)
+        end;
+        incr m
+      done
     end
   end
 
@@ -629,12 +571,10 @@ let line_of t point ref_id = Affine.eval t.forms.(ref_id) point asr t.line_shift
    image over those boxes meet the line? ([meets]) — and bisects on the
    answer.  A slice with no access to the line is thus dismissed by its
    hulls or by one query per dim of the dead end, and a first touch is
-   proved in closed form.  An interval query that runs out of fuel
-   answers "yes", which costs only a descent that then finds nothing, so
-   the search is exact and needs no budget.  The search's state lives in
-   the engine: [dst], the candidate [src] with its dims set so far, each
-   reference's address over those dims ([partial]) and the line's byte
-   range. *)
+   proved in closed form.  The search is exact and needs no budget.  Its
+   state lives in the engine: [dst], the candidate [src] with its dims set
+   so far, each reference's address over those dims ([partial]) and the
+   line's byte range. *)
 
 let shift t l v =
   for b = 0 to Array.length t.partial - 1 do
@@ -700,16 +640,14 @@ let top_reaching t l ~lo ~hi ~step =
   !best
 
 (* Whether no reference's image over the walk's current box meets the
-   line, that is, whether the walk goes on.  A query that runs out of fuel
-   answers that it meets. *)
+   line, that is, whether the walk goes on. *)
 let box_misses t cur =
   let img = t.img in
   let met = ref false and r = ref 0 in
   while (not !met) && !r < Array.length t.forms do
     Box.eval_into img t.forms.(!r) cur;
     order t;
-    t.fuel <- interval_fuel;
-    met := hits_from t img.Box.const 0 t.lo_addr t.hi_addr <> miss;
+    met := hits_from t img.Box.const 0 t.lo_addr t.hi_addr;
     incr r
   done;
   not !met

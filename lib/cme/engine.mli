@@ -60,8 +60,19 @@
     Other images have their residues modulo [sets * line] computed once per
     generator signature (memoised), probed against the set's window, and
     their distinct interfering lines identified by exact interval queries.
-    Queries that exceed the window/recursion budget fall back to a
-    conservative answer and are counted in {!fallback_count}. *)
+
+    The count is exact and has no budget.  A non-dense image over
+    [\[min, max\]] is walked window by window, at most [(max - min) /
+    (sets * line) + 2] windows, stopping once [assoc] distinct lines are
+    found.  Each window's interval query branches on the largest remaining
+    generator, keeps only the translates whose remaining span can still
+    reach the window, and stops at a dense sub-image (a single generator
+    always is one).  With [n] generators whose counts are [c_1, ..., c_n]
+    in decreasing order of step magnitude, a query therefore visits at
+    most [n * c_1 * ... * c_(n-1)] nodes of [O(n)] work each.  The pruning
+    keeps far below that in practice: the one-domain [tiler tile T3DJIK -n
+    200] search at 32 KB peaks at 617 windows walked in one segment and
+    1 185 query nodes in one classification's count. *)
 
 type outcome = Hit | Compulsory_miss | Replacement_miss
 
@@ -72,19 +83,12 @@ type t
     memo, so it serves one domain at a time.  Callers build one engine per
     candidate, per fuzz case or per census chunk. *)
 
-val create :
-  ?window_cap:int -> Tiling_ir.Nest.t -> Tiling_cache.Config.t -> t
+val create : Tiling_ir.Nest.t -> Tiling_cache.Config.t -> t
 (** Builds the solver context: address forms, static loop bounds, the
-    cache geometry's logarithms, the path plan, memo tables and scratch.
-    [window_cap] bounds the per-segment exact window enumeration (default
-    512). *)
+    cache geometry's logarithms, the path plan, memo tables and scratch. *)
 
 val nest : t -> Tiling_ir.Nest.t
 val cache : t -> Tiling_cache.Config.t
-
-val window_cap : t -> int
-(** The per-segment window bound this engine was created with (so helpers
-    can build sibling engines with identical conservative behaviour). *)
 
 val classify : t -> int array -> int -> outcome
 (** [classify t point ref_id] decides the outcome of reference [ref_id] at
@@ -122,11 +126,6 @@ val lattice_windows :
     window holds at most one point; the walk jumps from one such point to
     the next in closed form ({!Tiling_util.Intmath.next_lattice_hit}) and
     never visits an empty window. *)
-
-val fallback_count : t -> int
-(** Number of conservative answers consulted so far: saturated window
-    enumerations and exhausted interval queries on the paths {!classify}
-    tested.  The reuse-source search never adds to it. *)
 
 val memo_size : t -> int
 (** Number of distinct residue images in this engine's private table

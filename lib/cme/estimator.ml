@@ -10,7 +10,6 @@ type report = {
   per_ref : ref_counts array;
   miss_ratio : Stats.interval;
   replacement_ratio : Stats.interval;
-  fallbacks : int;
 }
 
 let replacement r = r.misses - r.compulsory
@@ -24,8 +23,7 @@ let default_points () =
 (* [interval ~hits ~n] turns raw counts into a confidence interval; the
    sampled drivers bind it to [Stats.proportion_interval] at the requested
    confidence, [exact] to the degenerate exact interval. *)
-let report_of ~interval ~points ~accesses ~misses ~compulsory ~per_ref
-    ~fallbacks =
+let report_of ~interval ~points ~accesses ~misses ~compulsory ~per_ref =
   {
     points;
     accesses;
@@ -34,7 +32,6 @@ let report_of ~interval ~points ~accesses ~misses ~compulsory ~per_ref
     per_ref;
     miss_ratio = interval ~hits:misses ~n:accesses;
     replacement_ratio = interval ~hits:(misses - compulsory) ~n:accesses;
-    fallbacks;
   }
 
 let sampled_interval ~confidence ~hits ~n =
@@ -70,12 +67,12 @@ let classify_point engine point accs =
    counts: the closed-form solver counts whole residue classes at once and
    never drives [classify_all], but its reports must look exactly like an
    [exact] census (degenerate intervals, accesses = points * nrefs). *)
-let census_report ~points ~per_ref ~fallbacks =
+let census_report ~points ~per_ref =
   let misses = Array.fold_left (fun s c -> s + c.r_misses) 0 per_ref in
   let compulsory = Array.fold_left (fun s c -> s + c.r_compulsory) 0 per_ref in
   report_of ~interval:census_interval ~points
     ~accesses:(points * Array.length per_ref)
-    ~misses ~compulsory ~per_ref ~fallbacks
+    ~misses ~compulsory ~per_ref
 
 let totals accs =
   let misses = Array.fold_left (fun s x -> s + x.m) 0 accs in
@@ -86,23 +83,18 @@ let totals accs =
   (misses, compulsory, per_ref)
 
 (* Shared classification driver for [exact] and [sample_at].  [iterate]
-   enumerates the points to classify; the report's [fallbacks] field is the
-   number of conservative solver answers *during this call* (the engine's
-   own counter is cumulative across its lifetime), measured as a delta
-   around the iteration. *)
+   enumerates the points to classify. *)
 let classify_all engine ~interval iterate =
   let nest = Engine.nest engine in
   let nrefs = Array.length nest.Tiling_ir.Nest.refs in
   let accs = make_accs engine in
   let points = ref 0 in
-  let fallbacks_before = Engine.fallback_count engine in
   iterate (fun point ->
       incr points;
       classify_point engine point accs);
   let misses, compulsory, per_ref = totals accs in
   report_of ~interval ~points:!points ~accesses:(!points * nrefs) ~misses
     ~compulsory ~per_ref
-    ~fallbacks:(Engine.fallback_count engine - fallbacks_before)
 
 let exact engine =
   Tiling_obs.Span.with_ "cme.estimator.exact"
@@ -173,7 +165,6 @@ let to_json r =
       ("replacement", Int (replacement r));
       ("miss_ratio", json_of_interval r.miss_ratio);
       ("replacement_ratio", json_of_interval r.replacement_ratio);
-      ("fallbacks", Int r.fallbacks);
       ( "per_ref",
         List
           (Array.to_list
@@ -190,13 +181,13 @@ let to_json r =
 
 let pp ppf r =
   Fmt.pf ppf
-    "points=%d accesses=%d miss=%.2f%%(±%.2f) repl=%.2f%%(±%.2f) compulsory=%d fallbacks=%d"
+    "points=%d accesses=%d miss=%.2f%%(±%.2f) repl=%.2f%%(±%.2f) compulsory=%d"
     r.points r.accesses
     (100. *. r.miss_ratio.Stats.center)
     (100. *. r.miss_ratio.Stats.half_width)
     (100. *. r.replacement_ratio.Stats.center)
     (100. *. r.replacement_ratio.Stats.half_width)
-    r.compulsory r.fallbacks
+    r.compulsory
 
 let pp_per_ref nest ppf r =
   Array.iteri

@@ -19,7 +19,6 @@ type report = {
   per_ref : ref_counts array;  (** indexed by [ref_id] *)
   miss_ratio : Tiling_util.Stats.interval;
   replacement_ratio : Tiling_util.Stats.interval;
-  fallbacks : int;     (** conservative solver answers during this run *)
 }
 
 val replacement : report -> int
@@ -53,7 +52,7 @@ val default_points : unit -> int
     ~confidence:0.9] = 164. *)
 
 val census_report :
-  points:int -> per_ref:ref_counts array -> fallbacks:int -> report
+  points:int -> per_ref:ref_counts array -> report
 (** Assemble a census-shaped report (degenerate exact intervals,
     [accesses = points * Array.length per_ref]) from per-reference counts
     aggregated elsewhere — the closed-form solver builds its reports this
@@ -61,7 +60,7 @@ val census_report :
 
 val to_json : report -> Tiling_obs.Json.t
 (** Machine-readable rendering of a report: totals, both confidence
-    intervals, the per-call fallback delta and per-reference counts. *)
+    intervals and per-reference counts. *)
 
 val pp : report Fmt.t
 

@@ -173,7 +173,6 @@ type outcome = {
   trials_run : int;
   agreed : int;
   inconclusive : int;
-  fallback_trials : int;
   mismatches : mismatch list;
   accesses : int;
   wall_s : float;
@@ -196,7 +195,6 @@ let run ?(knobs = default_knobs) ?time_budget ?on_trial ?(domains = 1)
       let t0 = Unix.gettimeofday () in
       let agreed = ref 0
       and inconclusive = ref 0
-      and fallback_trials = ref 0
       and accesses = ref 0
       and mismatches = ref []
       and ran = ref 0 in
@@ -215,12 +213,11 @@ let run ?(knobs = default_knobs) ?time_budget ?on_trial ?(domains = 1)
         incr ran;
         Metrics.incr m_trials;
         accesses := !accesses + result.Oracle.accesses;
-        if result.Oracle.fallbacks > 0 then incr fallback_trials;
         (match result.Oracle.verdict with
         | Oracle.Agree ->
             incr agreed;
             Metrics.incr m_agree
-        | Oracle.Inconclusive _ ->
+        | Oracle.Inconclusive ->
             incr inconclusive;
             Metrics.incr m_inconclusive
         | Oracle.Mismatch _ ->
@@ -260,7 +257,6 @@ let run ?(knobs = default_knobs) ?time_budget ?on_trial ?(domains = 1)
         trials_run = !ran;
         agreed = !agreed;
         inconclusive = !inconclusive;
-        fallback_trials = !fallback_trials;
         mismatches = List.rev !mismatches;
         accesses = !accesses;
         wall_s = Unix.gettimeofday () -. t0;

@@ -6,9 +6,9 @@
     any single trial can be replayed in isolation.
 
     Observability: the run emits [fuzz.trials], [fuzz.agree],
-    [fuzz.inconclusive] and [fuzz.mismatches] counters (plus
-    [fuzz.shrink.steps] from the shrinker) and wraps itself in a
-    [fuzz.run] span. *)
+    [fuzz.inconclusive] (closed-form refusals) and [fuzz.mismatches]
+    counters (plus [fuzz.shrink.steps] from the shrinker) and wraps itself
+    in a [fuzz.run] span. *)
 
 type knobs = {
   max_depth : int;    (** loop depth drawn from [1, max_depth] *)
@@ -58,8 +58,7 @@ type mismatch = {
 type outcome = {
   trials_run : int;
   agreed : int;
-  inconclusive : int;       (** disagreements masked by solver fallbacks *)
-  fallback_trials : int;    (** trials with >= 1 fallback (any verdict) *)
+  inconclusive : int;       (** closed-form refusals: nothing compared *)
   mismatches : mismatch list;
   accesses : int;           (** total accesses compared across all trials *)
   wall_s : float;

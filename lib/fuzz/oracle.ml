@@ -7,11 +7,10 @@ type ref_delta = {
 type verdict =
   | Agree
   | Mismatch of ref_delta list
-  | Inconclusive of ref_delta list
+  | Inconclusive
 
 type result = {
   verdict : verdict;
-  fallbacks : int;
   points : int;
   accesses : int;
 }
@@ -33,7 +32,7 @@ let check ?(mode = `Exact) nest cache =
               m "oracle: closed form refused %s (%a)"
                 nest.Tiling_ir.Nest.name Tiling_cme.Closed_form.pp_reason
                 reason);
-          { verdict = Inconclusive []; fallbacks = 0; points = 0; accesses = 0 }
+          { verdict = Inconclusive; points = 0; accesses = 0 }
       | Ok est ->
       let sim = Tiling_trace.Run.simulate nest cache in
       let deltas = ref [] in
@@ -52,15 +51,11 @@ let check ?(mode = `Exact) nest cache =
           in
           if cme <> sm then deltas := { ref_id = i; cme; sim = sm } :: !deltas)
         est.Tiling_cme.Estimator.per_ref;
-      let fallbacks = est.Tiling_cme.Estimator.fallbacks in
       let verdict =
-        match List.rev !deltas with
-        | [] -> Agree
-        | ds -> if fallbacks > 0 then Inconclusive ds else Mismatch ds
+        match List.rev !deltas with [] -> Agree | ds -> Mismatch ds
       in
       {
         verdict;
-        fallbacks;
         points = est.Tiling_cme.Estimator.points;
         accesses = est.Tiling_cme.Estimator.accesses;
       })
@@ -73,14 +68,9 @@ let pp_delta ppf d =
 
 let pp_result ppf r =
   match r.verdict with
-  | Agree ->
-      Fmt.pf ppf "agree (%d points, %d accesses, %d fallbacks)" r.points
-        r.accesses r.fallbacks
+  | Agree -> Fmt.pf ppf "agree (%d points, %d accesses)" r.points r.accesses
   | Mismatch ds ->
-      Fmt.pf ppf "MISMATCH (%d points, fallback-free):@.%a" r.points
+      Fmt.pf ppf "MISMATCH (%d points):@.%a" r.points
         Fmt.(list ~sep:(any "@.") pp_delta)
         ds
-  | Inconclusive ds ->
-      Fmt.pf ppf "inconclusive (%d fallbacks):@.%a" r.fallbacks
-        Fmt.(list ~sep:(any "@.") pp_delta)
-        ds
+  | Inconclusive -> Fmt.pf ppf "inconclusive (closed form refused)"

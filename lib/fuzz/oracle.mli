@@ -4,10 +4,8 @@
     set-associative LRU simulator ({!Tiling_cache.Sim} fed by
     {!Tiling_trace}).
 
-    Conservative solver answers (window-cap fallbacks) are legitimate
-    over-approximations, not model bugs; a disagreeing run whose engine
-    fell back at least once is therefore reported as {!Inconclusive}
-    rather than {!Mismatch}. *)
+    The solver is exact on every nest it accepts, so any disagreement is a
+    {!Mismatch}: a bug. *)
 
 type ref_delta = {
   ref_id : int;
@@ -17,12 +15,11 @@ type ref_delta = {
 
 type verdict =
   | Agree
-  | Mismatch of ref_delta list      (** fallback-free disagreement: a bug *)
-  | Inconclusive of ref_delta list  (** disagreement under >= 1 fallback *)
+  | Mismatch of ref_delta list  (** any disagreement: a bug *)
+  | Inconclusive  (** the closed form refused the nest; nothing compared *)
 
 type result = {
   verdict : verdict;
-  fallbacks : int;  (** conservative solver answers during the run *)
   points : int;     (** iteration points classified *)
   accesses : int;   (** total accesses compared *)
 }
@@ -37,8 +34,8 @@ val check :
     through {!Tiling_cme.Estimator.exact}; [`Closed_form] aggregates through
     {!Tiling_cme.Closed_form.estimate}, so a run differentially validates
     the extrapolating solver itself.  A closed-form refusal (affine nest,
-    budget) is reported as [Inconclusive []] — outside the regime, not a
-    disagreement. *)
+    budget) is reported as [Inconclusive] — outside the regime, not a
+    disagreement — and is the only way to get one. *)
 
 val check_case : ?mode:[ `Exact | `Closed_form ] -> Case.t -> result
 (** {!check} on a regenerated case. *)

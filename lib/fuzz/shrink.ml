@@ -5,7 +5,7 @@ let m_steps = Tiling_obs.Metrics.counter "fuzz.shrink.steps"
 let still_fails ?mode case =
   match (Oracle.check_case ?mode case).Oracle.verdict with
   | Oracle.Mismatch _ -> true
-  | Oracle.Agree | Oracle.Inconclusive _ -> false
+  | Oracle.Agree | Oracle.Inconclusive -> false
 
 (* Candidate reductions of one case, most aggressive first.  Geometry
    halving keeps the array alignment glued to the line size so the reduced

@@ -4,7 +4,7 @@
     arrays, shrink extents, offsets, coefficients and steps toward
     {!Tiling_kernels.Random_kernel.default_spec}'s trivial values, and
     halve the cache geometry.  A reduction is kept iff the reduced case
-    still produces a fallback-free {!Oracle.Mismatch} — any mismatch, not
+    still produces an {!Oracle.Mismatch} — any mismatch, not
     necessarily the original one: every fixpoint is a minimal failing
     input, which is what a bug report needs.
 

@@ -1,7 +1,7 @@
 (** Leveled stderr logging for the CLI and experiments.
 
-    The libraries already log through {!Logs} sources ([tiling.cme],
-    [tiling.core], ...); with no reporter installed those messages go
+    The libraries already log through {!Logs} sources ([tiling.core],
+    [tiling.fuzz], ...); with no reporter installed those messages go
     nowhere, which is the default.  [setup] installs an [Fmt]-based
     reporter on stderr and sets the global level, turning them on. *)
 

@@ -16,7 +16,6 @@ let inventory =
     ("cme.classify.hit", "Accesses classified as cache hits");
     ("cme.classify.replacement", "Accesses classified as replacement misses");
     ("cme.engines.created", "CME engine instances constructed");
-    ("cme.fallbacks", "Conservative answers of the CME interference count");
     ("cme.residues.memo.hit", "Residue-set memo hits (per engine)");
     ("cme.residues.memo.miss", "Residue-set memo misses (per engine)");
     ("cme.residues.shared.evictions", "Entries evicted from the shared residue cache");
@@ -53,7 +52,7 @@ let inventory =
     ("pool.workers", "Live pool worker domains");
     (* fuzz.* — differential fuzzing harness *)
     ("fuzz.agree", "Fuzz trials where CME and simulator agreed");
-    ("fuzz.inconclusive", "Fuzz trials outside the comparable regime");
+    ("fuzz.inconclusive", "Fuzz trials the closed-form census refused");
     ("fuzz.mismatches", "Fuzz trials that found a disagreement");
     ("fuzz.shrink.steps", "Shrinking steps taken on failing fuzz cases");
     ("fuzz.trials", "Differential fuzz trials executed");

@@ -295,8 +295,6 @@ let test_census_parallel_identical () =
   Alcotest.(check int) "misses" seq.Estimator.misses par.Estimator.misses;
   Alcotest.(check int)
     "compulsory" seq.Estimator.compulsory par.Estimator.compulsory;
-  Alcotest.(check int)
-    "fallbacks" seq.Estimator.fallbacks par.Estimator.fallbacks;
   Array.iteri
     (fun i (c : Estimator.ref_counts) ->
       let c' = par.Estimator.per_ref.(i) in

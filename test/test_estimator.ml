@@ -139,39 +139,6 @@ let test_per_ref_matches_simulator () =
         s.Tiling_cache.Sim.misses c.Estimator.r_misses)
     est.Estimator.per_ref
 
-let test_fallbacks_are_per_call_deltas () =
-  (* [report.fallbacks] must count only the fallbacks of that call, even
-     though the engine accumulates them for its whole lifetime — and both
-     [exact] and [sample_at] must agree on that convention.  A tiny
-     [window_cap] forces the solver onto its sampling fallback. *)
-  let nest = Transform.tile (Tiling_kernels.Kernels.mm 12) [| 5; 4; 3 |] in
-  let cache = Tiling_cache.Config.make ~size:512 ~line:32 () in
-  let engine = Engine.create ~window_cap:2 nest cache in
-  let r1 = Estimator.exact engine in
-  Alcotest.(check bool) "window cap of 2 forces fallbacks" true
-    (r1.Estimator.fallbacks > 0);
-  let r2 = Estimator.exact engine in
-  Alcotest.(check int) "second exact call reports the same delta"
-    r1.Estimator.fallbacks r2.Estimator.fallbacks;
-  let pts =
-    let acc = ref [] and k = ref 0 in
-    (try
-       Nest.iter_points nest (fun p ->
-           if !k >= 3 then raise Exit;
-           incr k;
-           acc := Array.copy p :: !acc)
-     with Exit -> ());
-    Array.of_list (List.rev !acc)
-  in
-  let s1 = Estimator.sample_at engine pts in
-  let s2 = Estimator.sample_at engine pts in
-  Alcotest.(check int) "sample_at reports a per-call delta too"
-    s1.Estimator.fallbacks s2.Estimator.fallbacks;
-  Alcotest.(check int) "engine accumulates the lifetime total"
-    (r1.Estimator.fallbacks + r2.Estimator.fallbacks + s1.Estimator.fallbacks
-   + s2.Estimator.fallbacks)
-    (Engine.fallback_count engine)
-
 let test_report_to_json_round_trips () =
   let nest = Tiling_kernels.Kernels.mm 10 in
   let cache = Tiling_cache.Config.make ~size:512 ~line:32 () in
@@ -199,8 +166,6 @@ let suite =
       Alcotest.test_case "per-ref sums to totals" `Quick test_per_ref_sums;
       Alcotest.test_case "per-ref matches simulator" `Quick
         test_per_ref_matches_simulator;
-      Alcotest.test_case "fallbacks are per-call deltas" `Quick
-        test_fallbacks_are_per_call_deltas;
       Alcotest.test_case "report JSON round-trips" `Quick
         test_report_to_json_round_trips;
     ]

@@ -8,9 +8,8 @@ let corpus_file =
   if Sys.file_exists "fuzz_corpus.txt" then "fuzz_corpus.txt"
   else Filename.concat "test" "fuzz_corpus.txt"
 
-(* Every checked-in repro is a once-real solver bug; replay must agree
-   exactly (a fallback-masked verdict would also be a regression — these
-   cases are tiny and fallback-free). *)
+(* Every checked-in repro is a once-real solver bug or a coverage pin;
+   replay must agree exactly. *)
 let test_corpus_replays () =
   match Driver.load_corpus corpus_file with
   | Error m -> Alcotest.fail ("corpus did not load: " ^ m)
@@ -21,7 +20,7 @@ let test_corpus_replays () =
           let r = Oracle.check_case case in
           match r.Oracle.verdict with
           | Oracle.Agree -> ()
-          | Oracle.Mismatch _ | Oracle.Inconclusive _ ->
+          | Oracle.Mismatch _ | Oracle.Inconclusive ->
               Alcotest.failf "corpus regression on %s:@ %a"
                 (Case.to_string case) Oracle.pp_result r)
         cases
@@ -74,8 +73,8 @@ let test_paper_kernels_agree () =
         (fun cache ->
           let r = Oracle.check nest cache in
           match r.Oracle.verdict with
-          | Oracle.Agree | Oracle.Inconclusive _ -> ()
-          | Oracle.Mismatch _ ->
+          | Oracle.Agree -> ()
+          | Oracle.Mismatch _ | Oracle.Inconclusive ->
               Alcotest.failf "%s disagrees:@ %a" s.name Oracle.pp_result r)
         geometries)
     Tiling_kernels.Kernels.rotation

@@ -91,16 +91,16 @@ let pinned_outcomes =
   [
     ( "MM 6",
       Tiling_kernels.Kernels.mm 6,
-      {|{"tiles":[6,1,1],"before":{"points":164,"accesses":656,"misses":189,"compulsory":16,"replacement":173,"miss_ratio":{"center":0.28810975609756095,"half_width":0.02908444658657567,"confidence":0.9},"replacement_ratio":{"center":0.26371951219512196,"half_width":0.028298803863292525,"confidence":0.9},"fallbacks":0,"per_ref":[{"accesses":164,"misses":33,"compulsory":7},{"accesses":164,"misses":86,"compulsory":4},{"accesses":164,"misses":53,"compulsory":5},{"accesses":164,"misses":17,"compulsory":0}]},"after":{"points":164,"accesses":656,"misses":110,"compulsory":16,"replacement":94,"miss_ratio":{"center":0.1676829268292683,"half_width":0.023991871467714098,"confidence":0.9},"replacement_ratio":{"center":0.14329268292682926,"half_width":0.022501089481719829,"confidence":0.9},"fallbacks":0,"per_ref":[{"accesses":164,"misses":12,"compulsory":5},{"accesses":164,"misses":58,"compulsory":6},{"accesses":164,"misses":23,"compulsory":5},{"accesses":164,"misses":17,"compulsory":0}]},"ga":{"best_genes":[3,3,0,2,0,1],"best_objective":94.0,"generations":16,"evaluations":480,"converged":true,"history":[{"generation":1,"best":112.0,"average":194.23333333333332,"distinct":30},{"generation":2,"best":105.0,"average":175.0,"distinct":30},{"generation":3,"best":105.0,"average":159.23333333333332,"distinct":30},{"generation":4,"best":105.0,"average":144.9,"distinct":28},{"generation":5,"best":96.0,"average":130.36666666666667,"distinct":27},{"generation":6,"best":96.0,"average":117.13333333333334,"distinct":29},{"generation":7,"best":96.0,"average":112.43333333333334,"distinct":26},{"generation":8,"best":96.0,"average":109.6,"distinct":25},{"generation":9,"best":96.0,"average":108.63333333333334,"distinct":24},{"generation":10,"best":96.0,"average":105.7,"distinct":25},{"generation":11,"best":96.0,"average":103.06666666666666,"distinct":21},{"generation":12,"best":94.0,"average":99.13333333333334,"distinct":17},{"generation":13,"best":94.0,"average":98.733333333333334,"distinct":16},{"generation":14,"best":94.0,"average":96.9,"distinct":12},{"generation":15,"best":94.0,"average":95.966666666666669,"distinct":11},{"generation":16,"best":94.0,"average":95.333333333333329,"distinct":9}]},"distinct_candidates":109}|} );
+      {|{"tiles":[6,1,1],"before":{"points":164,"accesses":656,"misses":189,"compulsory":16,"replacement":173,"miss_ratio":{"center":0.28810975609756095,"half_width":0.02908444658657567,"confidence":0.9},"replacement_ratio":{"center":0.26371951219512196,"half_width":0.028298803863292525,"confidence":0.9},"per_ref":[{"accesses":164,"misses":33,"compulsory":7},{"accesses":164,"misses":86,"compulsory":4},{"accesses":164,"misses":53,"compulsory":5},{"accesses":164,"misses":17,"compulsory":0}]},"after":{"points":164,"accesses":656,"misses":110,"compulsory":16,"replacement":94,"miss_ratio":{"center":0.1676829268292683,"half_width":0.023991871467714098,"confidence":0.9},"replacement_ratio":{"center":0.14329268292682926,"half_width":0.022501089481719829,"confidence":0.9},"per_ref":[{"accesses":164,"misses":12,"compulsory":5},{"accesses":164,"misses":58,"compulsory":6},{"accesses":164,"misses":23,"compulsory":5},{"accesses":164,"misses":17,"compulsory":0}]},"ga":{"best_genes":[3,3,0,2,0,1],"best_objective":94.0,"generations":16,"evaluations":480,"converged":true,"history":[{"generation":1,"best":112.0,"average":194.23333333333332,"distinct":30},{"generation":2,"best":105.0,"average":175.0,"distinct":30},{"generation":3,"best":105.0,"average":159.23333333333332,"distinct":30},{"generation":4,"best":105.0,"average":144.9,"distinct":28},{"generation":5,"best":96.0,"average":130.36666666666667,"distinct":27},{"generation":6,"best":96.0,"average":117.13333333333334,"distinct":29},{"generation":7,"best":96.0,"average":112.43333333333334,"distinct":26},{"generation":8,"best":96.0,"average":109.6,"distinct":25},{"generation":9,"best":96.0,"average":108.63333333333334,"distinct":24},{"generation":10,"best":96.0,"average":105.7,"distinct":25},{"generation":11,"best":96.0,"average":103.06666666666666,"distinct":21},{"generation":12,"best":94.0,"average":99.13333333333334,"distinct":17},{"generation":13,"best":94.0,"average":98.733333333333334,"distinct":16},{"generation":14,"best":94.0,"average":96.9,"distinct":12},{"generation":15,"best":94.0,"average":95.966666666666669,"distinct":11},{"generation":16,"best":94.0,"average":95.333333333333329,"distinct":9}]},"distinct_candidates":109}|} );
     ( "T2D 12",
       Tiling_kernels.Kernels.t2d 12,
-      {|{"tiles":[4,4],"before":{"points":164,"accesses":328,"misses":190,"compulsory":85,"replacement":105,"miss_ratio":{"center":0.57926829268292679,"half_width":0.044836613123307341,"confidence":0.9},"replacement_ratio":{"center":0.3201219512195122,"half_width":0.042370494900433701,"confidence":0.9},"fallbacks":0,"per_ref":[{"accesses":164,"misses":144,"compulsory":47},{"accesses":164,"misses":46,"compulsory":38}]},"after":{"points":164,"accesses":328,"misses":99,"compulsory":85,"replacement":14,"miss_ratio":{"center":0.30182926829268292,"half_width":0.04169191024444481,"confidence":0.9},"replacement_ratio":{"center":0.042682926829268296,"half_width":0.018358842562880059,"confidence":0.9},"fallbacks":0,"per_ref":[{"accesses":164,"misses":53,"compulsory":47},{"accesses":164,"misses":46,"compulsory":38}]},"ga":{"best_genes":[1,1,1,1],"best_objective":14.0,"generations":25,"evaluations":750,"converged":false,"history":[{"generation":1,"best":26.0,"average":63.533333333333331,"distinct":28},{"generation":2,"best":22.0,"average":55.93333333333333,"distinct":25},{"generation":3,"best":19.0,"average":45.56666666666667,"distinct":24},{"generation":4,"best":16.0,"average":38.0,"distinct":20},{"generation":5,"best":14.0,"average":30.733333333333334,"distinct":15},{"generation":6,"best":14.0,"average":25.533333333333335,"distinct":14},{"generation":7,"best":14.0,"average":25.033333333333335,"distinct":13},{"generation":8,"best":14.0,"average":26.2,"distinct":15},{"generation":9,"best":14.0,"average":24.266666666666666,"distinct":11},{"generation":10,"best":14.0,"average":25.3,"distinct":14},{"generation":11,"best":14.0,"average":27.533333333333335,"distinct":15},{"generation":12,"best":14.0,"average":25.8,"distinct":13},{"generation":13,"best":14.0,"average":23.5,"distinct":12},{"generation":14,"best":14.0,"average":23.066666666666666,"distinct":12},{"generation":15,"best":14.0,"average":32.766666666666666,"distinct":11},{"generation":16,"best":14.0,"average":25.366666666666667,"distinct":11},{"generation":17,"best":14.0,"average":22.2,"distinct":11},{"generation":18,"best":14.0,"average":25.966666666666665,"distinct":12},{"generation":19,"best":14.0,"average":20.466666666666665,"distinct":8},{"generation":20,"best":14.0,"average":19.7,"distinct":8},{"generation":21,"best":14.0,"average":19.566666666666666,"distinct":6},{"generation":22,"best":14.0,"average":17.966666666666665,"distinct":6},{"generation":23,"best":14.0,"average":16.5,"distinct":5},{"generation":24,"best":14.0,"average":15.2,"distinct":4},{"generation":25,"best":14.0,"average":14.5,"distinct":3}]},"distinct_candidates":99}|} );
+      {|{"tiles":[4,4],"before":{"points":164,"accesses":328,"misses":190,"compulsory":85,"replacement":105,"miss_ratio":{"center":0.57926829268292679,"half_width":0.044836613123307341,"confidence":0.9},"replacement_ratio":{"center":0.3201219512195122,"half_width":0.042370494900433701,"confidence":0.9},"per_ref":[{"accesses":164,"misses":144,"compulsory":47},{"accesses":164,"misses":46,"compulsory":38}]},"after":{"points":164,"accesses":328,"misses":99,"compulsory":85,"replacement":14,"miss_ratio":{"center":0.30182926829268292,"half_width":0.04169191024444481,"confidence":0.9},"replacement_ratio":{"center":0.042682926829268296,"half_width":0.018358842562880059,"confidence":0.9},"per_ref":[{"accesses":164,"misses":53,"compulsory":47},{"accesses":164,"misses":46,"compulsory":38}]},"ga":{"best_genes":[1,1,1,1],"best_objective":14.0,"generations":25,"evaluations":750,"converged":false,"history":[{"generation":1,"best":26.0,"average":63.533333333333331,"distinct":28},{"generation":2,"best":22.0,"average":55.93333333333333,"distinct":25},{"generation":3,"best":19.0,"average":45.56666666666667,"distinct":24},{"generation":4,"best":16.0,"average":38.0,"distinct":20},{"generation":5,"best":14.0,"average":30.733333333333334,"distinct":15},{"generation":6,"best":14.0,"average":25.533333333333335,"distinct":14},{"generation":7,"best":14.0,"average":25.033333333333335,"distinct":13},{"generation":8,"best":14.0,"average":26.2,"distinct":15},{"generation":9,"best":14.0,"average":24.266666666666666,"distinct":11},{"generation":10,"best":14.0,"average":25.3,"distinct":14},{"generation":11,"best":14.0,"average":27.533333333333335,"distinct":15},{"generation":12,"best":14.0,"average":25.8,"distinct":13},{"generation":13,"best":14.0,"average":23.5,"distinct":12},{"generation":14,"best":14.0,"average":23.066666666666666,"distinct":12},{"generation":15,"best":14.0,"average":32.766666666666666,"distinct":11},{"generation":16,"best":14.0,"average":25.366666666666667,"distinct":11},{"generation":17,"best":14.0,"average":22.2,"distinct":11},{"generation":18,"best":14.0,"average":25.966666666666665,"distinct":12},{"generation":19,"best":14.0,"average":20.466666666666665,"distinct":8},{"generation":20,"best":14.0,"average":19.7,"distinct":8},{"generation":21,"best":14.0,"average":19.566666666666666,"distinct":6},{"generation":22,"best":14.0,"average":17.966666666666665,"distinct":6},{"generation":23,"best":14.0,"average":16.5,"distinct":5},{"generation":24,"best":14.0,"average":15.2,"distinct":4},{"generation":25,"best":14.0,"average":14.5,"distinct":3}]},"distinct_candidates":99}|} );
     ( "SOR 8",
       Tiling_kernels.Kernels.sor 8,
-      {|{"tiles":[6,2],"before":{"points":164,"accesses":984,"misses":255,"compulsory":72,"replacement":183,"miss_ratio":{"center":0.25914634146341464,"half_width":0.022975682862657131,"confidence":0.9},"replacement_ratio":{"center":0.18597560975609756,"half_width":0.020402170681771775,"confidence":0.9},"fallbacks":0,"per_ref":[{"accesses":164,"misses":41,"compulsory":4},{"accesses":164,"misses":29,"compulsory":26},{"accesses":164,"misses":28,"compulsory":7},{"accesses":164,"misses":157,"compulsory":35},{"accesses":164,"misses":0,"compulsory":0},{"accesses":164,"misses":0,"compulsory":0}]},"after":{"points":164,"accesses":984,"misses":75,"compulsory":75,"replacement":0,"miss_ratio":{"center":0.07621951219512195,"half_width":0.013913844547527338,"confidence":0.9},"replacement_ratio":{"center":0.0,"half_width":0.0,"confidence":0.9},"fallbacks":0,"per_ref":[{"accesses":164,"misses":4,"compulsory":4},{"accesses":164,"misses":17,"compulsory":17},{"accesses":164,"misses":7,"compulsory":7},{"accesses":164,"misses":47,"compulsory":47},{"accesses":164,"misses":0,"compulsory":0},{"accesses":164,"misses":0,"compulsory":0}]},"ga":{"best_genes":[3,3,0,3],"best_objective":0.0,"generations":15,"evaluations":450,"converged":true,"history":[{"generation":1,"best":0.0,"average":101.56666666666666,"distinct":28},{"generation":2,"best":0.0,"average":66.5,"distinct":27},{"generation":3,"best":0.0,"average":44.4,"distinct":23},{"generation":4,"best":0.0,"average":26.1,"distinct":20},{"generation":5,"best":0.0,"average":19.2,"distinct":16},{"generation":6,"best":0.0,"average":10.133333333333333,"distinct":11},{"generation":7,"best":0.0,"average":2.1666666666666665,"distinct":6},{"generation":8,"best":0.0,"average":0.0,"distinct":4},{"generation":9,"best":0.0,"average":0.0,"distinct":4},{"generation":10,"best":0.0,"average":0.0,"distinct":4},{"generation":11,"best":0.0,"average":0.0,"distinct":4},{"generation":12,"best":0.0,"average":1.2,"distinct":5},{"generation":13,"best":0.0,"average":0.0,"distinct":4},{"generation":14,"best":0.0,"average":0.0,"distinct":4},{"generation":15,"best":0.0,"average":0.0,"distinct":3}]},"distinct_candidates":34}|} );
+      {|{"tiles":[6,2],"before":{"points":164,"accesses":984,"misses":255,"compulsory":72,"replacement":183,"miss_ratio":{"center":0.25914634146341464,"half_width":0.022975682862657131,"confidence":0.9},"replacement_ratio":{"center":0.18597560975609756,"half_width":0.020402170681771775,"confidence":0.9},"per_ref":[{"accesses":164,"misses":41,"compulsory":4},{"accesses":164,"misses":29,"compulsory":26},{"accesses":164,"misses":28,"compulsory":7},{"accesses":164,"misses":157,"compulsory":35},{"accesses":164,"misses":0,"compulsory":0},{"accesses":164,"misses":0,"compulsory":0}]},"after":{"points":164,"accesses":984,"misses":75,"compulsory":75,"replacement":0,"miss_ratio":{"center":0.07621951219512195,"half_width":0.013913844547527338,"confidence":0.9},"replacement_ratio":{"center":0.0,"half_width":0.0,"confidence":0.9},"per_ref":[{"accesses":164,"misses":4,"compulsory":4},{"accesses":164,"misses":17,"compulsory":17},{"accesses":164,"misses":7,"compulsory":7},{"accesses":164,"misses":47,"compulsory":47},{"accesses":164,"misses":0,"compulsory":0},{"accesses":164,"misses":0,"compulsory":0}]},"ga":{"best_genes":[3,3,0,3],"best_objective":0.0,"generations":15,"evaluations":450,"converged":true,"history":[{"generation":1,"best":0.0,"average":101.56666666666666,"distinct":28},{"generation":2,"best":0.0,"average":66.5,"distinct":27},{"generation":3,"best":0.0,"average":44.4,"distinct":23},{"generation":4,"best":0.0,"average":26.1,"distinct":20},{"generation":5,"best":0.0,"average":19.2,"distinct":16},{"generation":6,"best":0.0,"average":10.133333333333333,"distinct":11},{"generation":7,"best":0.0,"average":2.1666666666666665,"distinct":6},{"generation":8,"best":0.0,"average":0.0,"distinct":4},{"generation":9,"best":0.0,"average":0.0,"distinct":4},{"generation":10,"best":0.0,"average":0.0,"distinct":4},{"generation":11,"best":0.0,"average":0.0,"distinct":4},{"generation":12,"best":0.0,"average":1.2,"distinct":5},{"generation":13,"best":0.0,"average":0.0,"distinct":4},{"generation":14,"best":0.0,"average":0.0,"distinct":4},{"generation":15,"best":0.0,"average":0.0,"distinct":3}]},"distinct_candidates":34}|} );
     ( "LU 7",
       Tiling_kernels.Kernels.lu 7,
-      {|{"tiles":[2,6,3],"before":{"points":164,"accesses":656,"misses":88,"compulsory":18,"replacement":70,"miss_ratio":{"center":0.13414634146341464,"half_width":0.021887036698045724,"confidence":0.9},"replacement_ratio":{"center":0.10670731707317073,"half_width":0.01982756079525037,"confidence":0.9},"fallbacks":0,"per_ref":[{"accesses":164,"misses":21,"compulsory":1},{"accesses":164,"misses":28,"compulsory":5},{"accesses":164,"misses":39,"compulsory":12},{"accesses":164,"misses":0,"compulsory":0}]},"after":{"points":164,"accesses":656,"misses":48,"compulsory":18,"replacement":30,"miss_ratio":{"center":0.073170731707317069,"half_width":0.01672414292907794,"confidence":0.9},"replacement_ratio":{"center":0.04573170731707317,"half_width":0.013415882814786999,"confidence":0.9},"fallbacks":0,"per_ref":[{"accesses":164,"misses":18,"compulsory":1},{"accesses":164,"misses":13,"compulsory":5},{"accesses":164,"misses":17,"compulsory":12},{"accesses":164,"misses":0,"compulsory":0}]},"ga":{"best_genes":[1,1,3,3,1,3],"best_objective":30.0,"generations":15,"evaluations":450,"converged":true,"history":[{"generation":1,"best":35.0,"average":48.366666666666667,"distinct":30},{"generation":2,"best":31.0,"average":40.93333333333333,"distinct":29},{"generation":3,"best":30.0,"average":38.466666666666669,"distinct":28},{"generation":4,"best":30.0,"average":35.9,"distinct":29},{"generation":5,"best":30.0,"average":34.833333333333336,"distinct":25},{"generation":6,"best":30.0,"average":33.333333333333336,"distinct":24},{"generation":7,"best":30.0,"average":31.466666666666665,"distinct":21},{"generation":8,"best":30.0,"average":30.633333333333333,"distinct":16},{"generation":9,"best":30.0,"average":30.566666666666666,"distinct":16},{"generation":10,"best":30.0,"average":30.3,"distinct":12},{"generation":11,"best":30.0,"average":30.433333333333334,"distinct":10},{"generation":12,"best":30.0,"average":30.133333333333333,"distinct":8},{"generation":13,"best":30.0,"average":30.333333333333332,"distinct":7},{"generation":14,"best":30.0,"average":30.366666666666667,"distinct":7},{"generation":15,"best":30.0,"average":30.033333333333335,"distinct":5}]},"distinct_candidates":119}|} );
+      {|{"tiles":[2,6,3],"before":{"points":164,"accesses":656,"misses":88,"compulsory":18,"replacement":70,"miss_ratio":{"center":0.13414634146341464,"half_width":0.021887036698045724,"confidence":0.9},"replacement_ratio":{"center":0.10670731707317073,"half_width":0.01982756079525037,"confidence":0.9},"per_ref":[{"accesses":164,"misses":21,"compulsory":1},{"accesses":164,"misses":28,"compulsory":5},{"accesses":164,"misses":39,"compulsory":12},{"accesses":164,"misses":0,"compulsory":0}]},"after":{"points":164,"accesses":656,"misses":48,"compulsory":18,"replacement":30,"miss_ratio":{"center":0.073170731707317069,"half_width":0.01672414292907794,"confidence":0.9},"replacement_ratio":{"center":0.04573170731707317,"half_width":0.013415882814786999,"confidence":0.9},"per_ref":[{"accesses":164,"misses":18,"compulsory":1},{"accesses":164,"misses":13,"compulsory":5},{"accesses":164,"misses":17,"compulsory":12},{"accesses":164,"misses":0,"compulsory":0}]},"ga":{"best_genes":[1,1,3,3,1,3],"best_objective":30.0,"generations":15,"evaluations":450,"converged":true,"history":[{"generation":1,"best":35.0,"average":48.366666666666667,"distinct":30},{"generation":2,"best":31.0,"average":40.93333333333333,"distinct":29},{"generation":3,"best":30.0,"average":38.466666666666669,"distinct":28},{"generation":4,"best":30.0,"average":35.9,"distinct":29},{"generation":5,"best":30.0,"average":34.833333333333336,"distinct":25},{"generation":6,"best":30.0,"average":33.333333333333336,"distinct":24},{"generation":7,"best":30.0,"average":31.466666666666665,"distinct":21},{"generation":8,"best":30.0,"average":30.633333333333333,"distinct":16},{"generation":9,"best":30.0,"average":30.566666666666666,"distinct":16},{"generation":10,"best":30.0,"average":30.3,"distinct":12},{"generation":11,"best":30.0,"average":30.433333333333334,"distinct":10},{"generation":12,"best":30.0,"average":30.133333333333333,"distinct":8},{"generation":13,"best":30.0,"average":30.333333333333332,"distinct":7},{"generation":14,"best":30.0,"average":30.366666666666667,"distinct":7},{"generation":15,"best":30.0,"average":30.033333333333335,"distinct":5}]},"distinct_candidates":119}|} );
   ]
 
 let test_outcome_pins () =
