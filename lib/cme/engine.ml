@@ -141,6 +141,11 @@ type t = {
   mod_shift : int;
   static_lo : int array;
   static_hi : int array;  (* per-dim bounding interval of the loop values *)
+  (* Suffix tables, [depth + 1] entries per reference: entry [b * (depth +
+     1) + l] bounds reference [b]'s terms over dims [l] and deeper as those
+     dims range over their static bounds; entry [depth] is 0. *)
+  sfx_lo : int array;
+  sfx_hi : int array;
   memo : Residue_set.t Key_table.t;
   (* Scratch, reused by every query, so an engine serves one domain: the
      path walk's plan and box; one reference's image over the current box
@@ -156,6 +161,9 @@ type t = {
   keys : int array array;
   found : int array;
   mutable nfound : int;
+  live : bool array;  (* references whose path hull reaches another window *)
+  mutable hull_lo : int;
+  mutable hull_hi : int;  (* the last hull [hull] took *)
   mutable base : int;  (* the count's set's first window, set * line *)
   mutable m0 : int;  (* the reused line's own window index *)
   (* The reuse-source search's state (see [latest_before]). *)
@@ -183,6 +191,19 @@ let create nest cache =
       let forms = Array.map (fun r -> Nest.address_form nest r) nest.Nest.refs in
       let static_lo, static_hi = Nest.static_bounds nest in
       let depth = Nest.depth nest in
+      let suffix pick =
+        let tbl = Array.make (Array.length forms * (depth + 1)) 0 in
+        Array.iteri
+          (fun b form ->
+            for l = depth - 1 downto 0 do
+              let c = Affine.coeff form l in
+              tbl.((b * (depth + 1)) + l) <-
+                tbl.((b * (depth + 1)) + l + 1)
+                + pick (c * static_lo.(l)) (c * static_hi.(l))
+            done)
+          forms;
+        tbl
+      in
       {
         nest;
         cache;
@@ -193,6 +214,8 @@ let create nest cache =
         mod_shift = sets_shift + line_shift;
         static_lo;
         static_hi;
+        sfx_lo = suffix Int.min;
+        sfx_hi = suffix Int.max;
         memo = Key_table.create 256;
         plan = Path.plan nest;
         img = Box.image depth;
@@ -203,6 +226,9 @@ let create nest cache =
         keys = Array.init (depth + 1) (fun n -> Array.make (2 * n) 0);
         found = Array.make cache.Tiling_cache.Config.assoc 0;
         nfound = 0;
+        live = Array.make (Array.length forms) true;
+        hull_lo = 0;
+        hull_hi = 0;
         base = 0;
         m0 = 0;
         dst = [||];
@@ -268,6 +294,24 @@ let sub_max t const k =
   let mx = ref const in
   for j = k to img.Box.len - 1 do
     let i = t.by_size.(j) in
+    let span = img.Box.steps.(i) * (img.Box.counts.(i) - 1) in
+    if span > 0 then mx := !mx + span
+  done;
+  !mx
+
+(* The same bounds for the whole image, [k = 0], taken in entry order:
+   they need no sort. *)
+let image_min (img : Box.image) =
+  let mn = ref img.Box.const in
+  for i = 0 to img.Box.len - 1 do
+    let span = img.Box.steps.(i) * (img.Box.counts.(i) - 1) in
+    if span < 0 then mn := !mn + span
+  done;
+  !mn
+
+let image_max (img : Box.image) =
+  let mx = ref img.Box.const in
+  for i = 0 to img.Box.len - 1 do
     let span = img.Box.steps.(i) * (img.Box.counts.(i) - 1) in
     if span > 0 then mx := !mx + span
   done;
@@ -453,6 +497,17 @@ let lattice_windows ~base ~modulus ~line ~mn ~mx ~g ~m0 take =
    first.  The order decides nothing but which segments are still looked
    at once the count reaches the associativity.
 
+   Ranges come first.  Before the walk, each reference's address hull
+   over the whole path is tested against the set's windows, and a
+   reference whose hull meets none but the reused line's own window [m0]
+   is left out of the walk; when every reference is, the path is not
+   walked at all.  Within the walk, a segment's value range [mn, mx],
+   taken from its generators in entry order, is tested the same way
+   before anything else, so a segment that cannot reach another window
+   costs no generator sort, denseness test or residue image.  A segment
+   or a walk skipped this way holds no value in another window of the
+   set, so it could add no interfering line: the count is the same.
+
    A dense segment's image is exactly the lattice [const + g*Z] cut to
    [mn, mx], so it is answered in closed form without a residue image:
    with [g <= L] every window inside [mn, mx] holds a point and the window
@@ -482,7 +537,20 @@ let count_access t v =
     if m <> t.m0 then ignore (add_window t m : bool)
   end
 
-(* The segment of reference [b] over the current path box. *)
+(* The set's windows meeting [[mn, mx]] are [first_window t mn ..
+   last_window t mx]: window [m] meets it iff [base + m*M <= mx] and
+   [base + m*M + L - 1 >= mn].  [asr] floors, below [base] too. *)
+let first_window t mn =
+  -((t.base + t.cache.Tiling_cache.Config.line - 1 - mn) asr t.mod_shift)
+
+let last_window t mx = (mx - t.base) asr t.mod_shift
+
+(* Whether windows [m_lo .. m_hi] include one other than [m0]. *)
+let other_window t m_lo m_hi = m_lo < m_hi || (m_lo = m_hi && m_lo <> t.m0)
+
+(* The segment of reference [b] over the current path box.  Its range is
+   tested first, then the geometry: the generator orders, denseness, and
+   for a non-dense image the residue prefilter. *)
 let count_box_ref t cur b =
   let l_bytes = t.cache.Tiling_cache.Config.line in
   let m_big = t.modulus and shift = t.mod_shift and base = t.base and m0 = t.m0 in
@@ -491,44 +559,91 @@ let count_box_ref t cur b =
   let const = img.Box.const in
   if img.Box.len = 0 then count_access t const
   else begin
-    order t;
-    let mn = sub_min t const 0 and mx = sub_max t const 0 in
-    let dense = dense_from t 0 in
-    let g = t.g in
-    if dense && g > l_bytes then
-      windows ~base ~shift ~line:l_bytes ~mn ~mx ~g ~m0 add_window t
-    else if
-      dense
-      (* The image residues are those of the generators shifted by const;
-         probe the set window accordingly. *)
-      || Residue_set.hits_window (residues t) ~lo:(base - const) ~len:l_bytes
-    then begin
-      (* Window by window: O(1) each for a dense image, an interval query
-         otherwise. *)
-      let m_hi = (mx - base) asr shift in
-      let m = ref ((mn - base) asr shift) in
-      while (not (full t)) && !m <= m_hi do
-        if !m <> m0 then begin
-          let a = base + (!m * m_big) in
-          let b = a + l_bytes - 1 in
-          if
-            if dense then lattice_hits ~c:const ~g (Int.max a mn) (Int.min b mx)
-            else hits_from t const 0 a b
-          then ignore (add_window t !m : bool)
-        end;
-        incr m
-      done
+    let mn = image_min img and mx = image_max img in
+    let m_lo = first_window t mn and m_hi = last_window t mx in
+    if other_window t m_lo m_hi then begin
+      order t;
+      let dense = dense_from t 0 in
+      let g = t.g in
+      if dense && g > l_bytes then
+        windows ~base ~shift ~line:l_bytes ~mn ~mx ~g ~m0 add_window t
+      else if
+        dense
+        (* The image residues are those of the generators shifted by
+           const; probe the set window accordingly. *)
+        || Residue_set.hits_window (residues t) ~lo:(base - const) ~len:l_bytes
+      then begin
+        (* Window by window: O(1) each for a dense image, an interval
+           query otherwise. *)
+        let m = ref m_lo in
+        while (not (full t)) && !m <= m_hi do
+          if !m <> m0 then begin
+            let a = base + (!m * m_big) in
+            let b = a + l_bytes - 1 in
+            if
+              if dense then lattice_hits ~c:const ~g (Int.max a mn) (Int.min b mx)
+              else hits_from t const 0 a b
+            then ignore (add_window t !m : bool)
+          end;
+          incr m
+        done
+      end
     end
   end
 
-(* Every reference over the current box, the last first. *)
+(* Every reference over the current box that the path's hulls left in,
+   the last first. *)
 let count_box t cur =
   let b = ref (Array.length t.forms - 1) in
   while (not (full t)) && !b >= 0 do
-    count_box_ref t cur !b;
+    if t.live.(!b) then count_box_ref t cur !b;
     decr b
   done;
   not (full t)
+
+(* The first dim where [src] and [dst] differ; the depth if none does. *)
+let first_diff (src : int array) dst =
+  let m = ref 0 in
+  while !m < Array.length src && src.(!m) = dst.(!m) do
+    incr m
+  done;
+  !m
+
+(* Reference [b]'s address hull over the points from [src] to [dst], [m]
+   their first differing dim, into [hull_lo, hull_hi]: its terms over dims
+   above [m] at [src], dim [m] between [src.(m)] and [dst.(m)], and the
+   deeper dims over their static bounds, read from the suffix tables.
+   Every point between the two keeps [src]'s dims above [m]. *)
+let hull t ~src ~dst m b =
+  let form = t.forms.(b) in
+  let a = ref form.Affine.const in
+  for l = 0 to m - 1 do
+    a := !a + (form.Affine.coeffs.(l) * src.(l))
+  done;
+  let x = form.Affine.coeffs.(m) * src.(m)
+  and y = form.Affine.coeffs.(m) * dst.(m)
+  and i = (b * (Array.length src + 1)) + m + 1 in
+  t.hull_lo <- !a + Int.min x y + t.sfx_lo.(i);
+  t.hull_hi <- !a + Int.max x y + t.sfx_hi.(i)
+
+let path_hull t ~src ~dst b =
+  hull t ~src ~dst (first_diff src dst) b;
+  (t.hull_lo, t.hull_hi)
+
+(* Mark the references whose hull over the path from [src] to [dst], [m]
+   their first differing dim, reaches a window other than [m0]; answers
+   whether any does. *)
+let mark_live t ~src ~dst m =
+  let any = ref false in
+  for b = 0 to Array.length t.forms - 1 do
+    hull t ~src ~dst m b;
+    let live =
+      other_window t (first_window t t.hull_lo) (last_window t t.hull_hi)
+    in
+    t.live.(b) <- live;
+    if live then any := true
+  done;
+  !any
 
 (* Whether the associativity's worth of distinct lines interferes on the
    path from reference [src_ref] at [src] to [dst_ref] at [dst]. *)
@@ -536,7 +651,8 @@ let saturated t ~src ~src_ref ~dst ~dst_ref ~set ~line_a =
   t.base <- set lsl t.line_shift;
   t.m0 <- line_a asr t.sets_shift;
   t.nfound <- 0;
-  let same_point = Nest.lex_compare src dst = 0 in
+  let m = first_diff src dst in
+  let same_point = m = Array.length src in
   if not same_point then
     for b = dst_ref - 1 downto 0 do
       if not (full t) then count_access t (Affine.eval t.forms.(b) dst)
@@ -545,7 +661,7 @@ let saturated t ~src ~src_ref ~dst ~dst_ref ~set ~line_a =
   for b = upto - 1 downto src_ref + 1 do
     if not (full t) then count_access t (Affine.eval t.forms.(b) src)
   done;
-  if not (full t) then
+  if not (same_point || full t) && mark_live t ~src ~dst m then
     ignore (Path.walk_between t.plan ~src ~dst ~rev:true count_box t : bool);
   full t
 
@@ -646,8 +762,11 @@ let box_misses t cur =
   let met = ref false and r = ref 0 in
   while (not !met) && !r < Array.length t.forms do
     Box.eval_into img t.forms.(!r) cur;
-    order t;
-    met := hits_from t img.Box.const 0 t.lo_addr t.hi_addr;
+    (* [hits_from]'s own first test, before the sort. *)
+    if image_min img <= t.hi_addr && image_max img >= t.lo_addr then begin
+      order t;
+      met := hits_from t img.Box.const 0 t.lo_addr t.hi_addr
+    end;
     incr r
   done;
   not !met

@@ -38,16 +38,37 @@
     access allocates only when a residue signature misses the engine's
     memo (the key's copy and, on a shared-cache miss, the residue image).
     On [test_engine]'s 164-point samples with the shared cache emptied
-    first, that is 75, 20, 17 and 0.02 words per classification (tiled
-    MM 24, SOR 32, LU 16, T2D 64: 33, 13, 11 and 0 misses of about 1 000 to
-    1 500 words each), and a second pass over the same sample allocates
-    under 0.01.
+    first, that is 19, 0.01, 0.01 and 0.02 words per classification
+    (tiled MM 24, SOR 32, LU 16, T2D 64: 9, 0, 0 and 0 misses of about
+    1 000 to 1 500 words each), and a second pass over the same sample
+    allocates under 0.01.
 
     The engine assumes the geometry {!Tiling_cache.Config.make} enforces:
     the line size, the set count and their product [sets * line] are
     powers of two.  {!create} takes their logarithms once, and every
     division or remainder by them on the per-access path is a shift or a
     mask; there is no other arithmetic path.
+
+    Ranges come first.  Before it walks a path, the count tests each
+    reference's address hull over the whole path against the cache set's
+    windows, [sets * line] bytes apart: the terms over the dims above the
+    first dim where source and destination differ are fixed at the
+    source, that dim ranges between the two, and the deeper dims range
+    over their static bounds, read from per-engine suffix tables ([depth +
+    1] entries per reference, built by {!create}).  A reference whose
+    hull meets no window but the reused line's own is left out of the
+    walk, and the path is not walked at all when every reference is.
+    Within the walk, each box image's value range, taken from its
+    generators in entry order, is tested the same way before the
+    generator sort, the denseness test and the residue prefilter; the
+    source search's queries likewise test an image's range against the
+    line before sorting its generators.  A hull or range that holds no
+    address in another window of the set holds no interfering line, and
+    one that misses the line holds no access to it, so a skipped image or
+    walk can neither add a window nor meet the line: every answer is the
+    one the exact machinery gives.  At 32 KB the hulls alone settle every
+    count of one-domain MM 32, SOR 48 and LU 24 searches, which build no
+    residue image.
 
     Replacement queries are answered analytically: the image of a
     reference's address function over a path box is a constant plus a
@@ -84,8 +105,9 @@ type t
     candidate, per fuzz case or per census chunk. *)
 
 val create : Tiling_ir.Nest.t -> Tiling_cache.Config.t -> t
-(** Builds the solver context: address forms, static loop bounds, the
-    cache geometry's logarithms, the path plan, memo tables and scratch. *)
+(** Builds the solver context: address forms, static loop bounds and the
+    path hulls' suffix tables, the cache geometry's logarithms, the path
+    plan, memo tables and scratch. *)
 
 val nest : t -> Tiling_ir.Nest.t
 val cache : t -> Tiling_cache.Config.t
@@ -126,6 +148,15 @@ val lattice_windows :
     window holds at most one point; the walk jumps from one such point to
     the next in closed form ({!Tiling_util.Intmath.next_lattice_hit}) and
     never visits an empty window. *)
+
+val path_hull : t -> src:int array -> dst:int array -> int -> int * int
+(** [path_hull t ~src ~dst b] is the address interval [(lo, hi)] the
+    interference count takes as reference [b]'s hull over the path from
+    [src] to [dst]: [b]'s terms over the dims above their first differing
+    dim [m] fixed at [src], dim [m] between [src.(m)] and [dst.(m)], and
+    the deeper dims over their static bounds, read from the engine's
+    suffix tables.  Every access of [b] at a point [q] with [src < q <
+    dst] lies in it.  Requires [src < dst]; exposed for tests. *)
 
 val memo_size : t -> int
 (** Number of distinct residue images in this engine's private table

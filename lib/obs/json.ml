@@ -28,16 +28,18 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The C formatter behind [Printf]'s [%g], called without the format
+   interpreter: the same bytes. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_repr f =
   if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then None
   else
-    (* Shortest representation that round-trips, kept JSON-valid (always
-       with a '.' or exponent so it re-parses as a float). *)
-    let s = Printf.sprintf "%.17g" f in
-    let s =
-      let shorter = Printf.sprintf "%.12g" f in
-      if float_of_string shorter = f then shorter else s
-    in
+    (* [%.12g] if it round-trips, else [%.17g], which always does; kept
+       JSON-valid (always with a '.' or exponent so it re-parses as a
+       float). *)
+    let s = format_float "%.12g" f in
+    let s = if float_of_string s = f then s else format_float "%.17g" f in
     Some (if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s else s ^ ".0")
 
 let rec emit buf = function

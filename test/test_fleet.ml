@@ -437,7 +437,11 @@ let test_client_pipelining () =
   @@ fun () ->
   (* a slow tile and a quick stats share one connection: the stats
      submitter must get its (out-of-order) envelope while the tile
-     caller is parked on the same socket *)
+     caller is parked on the same socket.  The tile must outlast the
+     0.15 s delay plus the stats round trip, which can take a scheduler
+     tick or two while the search holds the runtime: LU 80's search
+     runs well past its 0.8 s deadline on one domain (about 1.5 s on a
+     2-vCPU guest), where MM 24's now ends in about 0.2 s. *)
   let tile_done = Atomic.make false in
   let tile_result = ref None in
   let tile_thread =
@@ -448,8 +452,8 @@ let test_client_pipelining () =
             (Client.call client ~meth:"tile"
                ~params:
                  [
-                   ("kernel", Json.String "mm");
-                   ("n", Json.Int 24);
+                   ("kernel", Json.String "lu");
+                   ("n", Json.Int 80);
                    ("seed", Json.Int 41);
                    ("deadline_s", Json.Float 0.8);
                  ]);

@@ -553,6 +553,37 @@ let test_json_default_depth_survives () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated 100k-deep input accepted"
 
+(* The float printer's reference: the shortest of [%.12g] and [%.17g]
+   that round-trips, through [Printf]'s format interpreter, with [.0]
+   appended when neither a point nor an exponent shows. *)
+let reference_float f =
+  let s = Printf.sprintf "%.17g" f in
+  let s =
+    let shorter = Printf.sprintf "%.12g" f in
+    if float_of_string shorter = f then shorter else s
+  in
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s else s ^ ".0"
+
+let prop_json_floats =
+  QCheck.Test.make ~name:"JSON floats print as the Printf reference" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h")
+       QCheck.Gen.(
+         oneof
+           [
+             map Int64.float_of_bits int64;
+             float;
+             map float_of_int int;
+             oneofl
+               [
+                 0.; -0.; 1.; -1.; 0.1; 1. /. 3.; 1e15; 1e16; 1e17; 1e300; -1e300;
+                 Float.max_float; Float.min_float; 4.9e-324; -4.9e-324;
+                 2.2250738585072009e-308; 123456789012.5; 0.9682; 3.4238;
+               ];
+           ]))
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      String.equal (Json.to_string (Json.Float f)) (reference_float f))
+
 (* ------------------------------------------------------------------ *)
 (* CLI --json contract                                                  *)
 
@@ -648,6 +679,7 @@ let suite =
     Alcotest.test_case "payload size cap" `Quick test_json_size_cap;
     Alcotest.test_case "hostile deep input cannot blow the stack" `Quick
       test_json_default_depth_survives;
+    QCheck_alcotest.to_alcotest prop_json_floats;
     Alcotest.test_case "tiler analyze --json parses and matches human output"
       `Quick test_cli_json;
   ]
