@@ -8,11 +8,9 @@ let m_row_memo_hit = Metrics.counter "symbolic.rows.memo.hit"
 let m_extrapolated = Metrics.counter "symbolic.rows.extrapolated"
 let m_classified = Metrics.counter "symbolic.points.classified"
 let m_parallel = Metrics.counter "symbolic.rows.parallel"
-let m_probed = Metrics.counter "symbolic.rows.probed"
 let m_ref_exhaustive = Metrics.counter "symbolic.rows.ref_exhaustive"
 
 type reason = [ `Affine | `Budget ]
-type mode = Census | Bounded
 
 let pp_reason ppf = function
   | `Affine -> Fmt.string ppf "affine-coupled loop bounds"
@@ -21,17 +19,10 @@ let pp_reason ppf = function
 exception Out_of_budget
 
 (* Tuning constants.  [census_period_cap] bounds the sound per-row period
-   the Census mode will extrapolate from: entries whose residue period
-   exceeds it are classified exhaustively (windows wide enough to prove
-   the period would rival the rows themselves).  The [bounded_*] constants
-   shape the search backend's probe mode: a handful of stratified rows per
-   box, each classified over a short prefix and extrapolated from its
-   trailing pattern. *)
+   the census will extrapolate from: entries whose residue period exceeds
+   it are classified exhaustively (windows wide enough to prove the period
+   would rival the rows themselves). *)
 let census_period_cap = 32
-let bounded_row_points = 8
-let bounded_period_cap = 4
-let bounded_exact_points = 512
-let bounded_exact_rows = 512
 let parallel_min_rows = 128
 
 (* Packed per-row outcome counts: for each reference, misses and
@@ -41,10 +32,6 @@ type row_counts = { rc_m : int array; rc_c : int array }
 let add_row_counts ~into:(m, c) rc =
   Array.iteri (fun r x -> m.(r) <- m.(r) + x) rc.rc_m;
   Array.iteri (fun r x -> c.(r) <- c.(r) + x) rc.rc_c
-
-let add_row_counts_scaled ~into:(m, c) rc occ =
-  Array.iteri (fun r x -> m.(r) <- m.(r) + (x * occ)) rc.rc_m;
-  Array.iteri (fun r x -> c.(r) <- c.(r) + (x * occ)) rc.rc_c
 
 (* The address step of reference [r] along one box entry: moving the
    entry's counter by 1 moves every target variable by its increment. *)
@@ -68,21 +55,6 @@ let entry_period forms modulus (e : Box.entry) =
       let s = Intmath.pos_mod (entry_step form e) modulus in
       if s = 0 then acc else Intmath.lcm acc (modulus / Intmath.gcd s modulus))
     1 forms
-
-(* Set-space period candidate of a single reference along an entry: its
-   line offset cycles with [line / gcd (s, line)] while its set index (for
-   line-aligned steps) cycles with the full byte period.  The minimum is
-   the natural first guess for the reference's *observed* outcome period —
-   interference from the other references can stretch it, so the bounded
-   probe mode only uses it as a ladder candidate to be validated against
-   classified points, never as a proof. *)
-let ref_period ~modulus ~line step =
-  let s = Intmath.pos_mod step modulus in
-  if s = 0 then 1
-  else
-    let byte = modulus / Intmath.gcd s modulus in
-    if s mod line = 0 then byte
-    else min byte (line / Intmath.gcd s line)
 
 (* Per-variable reach of the reuse sources: the farthest (in iterations of
    that variable) any reuse vector displaces its source.  Hoisted out of
@@ -127,7 +99,6 @@ type ctx = {
   nrefs : int;
   forms : Affine.t array;
   modulus : int;
-  line : int;
   budget : int Atomic.t;
       (* remaining (point, ref) classifications, shared across domains *)
 }
@@ -157,8 +128,8 @@ let classify_point ctx point (m, c) =
 (* One row: the innermost entry of a box swept over [0, n) with every
    outer entry pinned, classified independently per reference.
 
-   Census rows with a provable period [pi <= census_period_cap] classify
-   a prefix and a suffix window of [w = 2*pi + reach + 4] points and, per
+   Rows with a provable period [pi <= census_period_cap] classify a
+   prefix and a suffix window of [w = 2*pi + reach + 4] points and, per
    reference, extrapolate the middle from the smallest period the full
    verified span supports.  Soundness: past the reach the outcome
    sequence is pi-periodic (the residue argument above), and observing
@@ -167,14 +138,8 @@ let classify_point ctx point (m, c) =
    pi-translates.  The period ladder is per reference — one reference
    with a long observed period no longer forces the others (or the whole
    row) through the exhaustive path.  Entries whose period exceeds the
-   cap are classified exhaustively, so the census stays exact always.
-
-   Probe rows (the bounded backend mode) classify only a short prefix and
-   extrapolate the rest of the row from the prefix's trailing pattern —
-   deterministic, structurally bounded at [bounded_row_points]
-   classifications per reference, and approximate by design (the ladder
-   is seeded with the reference's set-space period candidate). *)
-let row_counts ctx ~row_mode ~base ~(inner : Box.entry) ~pi ~reach =
+   cap are classified exhaustively, so the census stays exact always. *)
+let row_counts ctx ~base ~(inner : Box.entry) ~pi ~reach =
   let n = inner.Box.count in
   let nrefs = ctx.nrefs in
   let m = Array.make nrefs 0 and c = Array.make nrefs 0 in
@@ -238,77 +203,45 @@ let row_counts ctx ~row_mode ~base ~(inner : Box.entry) ~pi ~reach =
       end
     done
   in
-  (match row_mode with
-  | `Census ->
-      let w = (2 * pi) + reach + 4 in
-      if pi > census_period_cap || n <= (2 * w) + 2 then
-        (* Exhaustive (and exact): no coverable period, or the whole row
-           fits in the windows anyway. *)
-        for r = 0 to nrefs - 1 do
-          sum_range r 0 n
-        done
-      else
-        for r = 0 to nrefs - 1 do
-          for t = 0 to w - 1 do
-            ignore (get t r)
-          done;
-          for t = n - w to n - 1 do
-            ignore (get t r)
-          done;
-          sum_range r 0 w;
-          sum_range r (n - w) n;
-          (* Per-reference period ladder: the smallest p whose pattern the
-             full [2*pi] verified span exhibits (that span length is what
-             makes the extrapolation sound, see above).  The suffix-head
-             check is belt and braces against an underestimated reach. *)
-          let rec find p =
-            if p > pi then None
-            else if
-              matches_pattern r ~anchor:w ~p (w - (2 * pi)) w
-              && matches_pattern r ~anchor:w ~p (n - w)
-                   (min n (n - w + (2 * p)))
-            then Some p
-            else find (p + 1)
-          in
-          match find 1 with
-          | Some p ->
-              Metrics.incr m_extrapolated;
-              extrapolate r ~anchor:w ~p ~lo:w ~hi:(n - w)
-          | None ->
-              (* Inconsistent windows (reach underestimate): classify this
-                 reference (alone) exhaustively, keeping the census
-                 exact. *)
-              Metrics.incr m_ref_exhaustive;
-              sum_range r w (n - w)
-        done
-  | `Probe ->
-      let wp = bounded_row_points in
-      for r = 0 to nrefs - 1 do
-        if n <= wp then sum_range r 0 n
-        else begin
-          sum_range r 0 wp;
-          (* Best-effort period from the prefix tail alone, seeding the
-             ladder with the reference's set-space candidate; the default
-             (the full trailing window) keeps the fill deterministic when
-             no shorter period shows. *)
-          let cand =
-            ref_period ~modulus:ctx.modulus ~line:ctx.line
-              (entry_step ctx.forms.(r) inner)
-          in
-          let try_p p =
-            2 * p <= wp && matches_pattern r ~anchor:wp ~p (wp - (2 * p)) wp
-          in
-          let rec find p =
-            if p > bounded_period_cap then
-              if cand > bounded_period_cap && try_p cand then cand
-              else bounded_period_cap
-            else if try_p p then p
-            else find (p + 1)
-          in
-          let p = find 1 in
-          extrapolate r ~anchor:wp ~p ~lo:wp ~hi:n
-        end
-      done);
+  let w = (2 * pi) + reach + 4 in
+  if pi > census_period_cap || n <= (2 * w) + 2 then
+    (* Exhaustive (and exact): no coverable period, or the whole row fits
+       in the windows anyway. *)
+    for r = 0 to nrefs - 1 do
+      sum_range r 0 n
+    done
+  else
+    for r = 0 to nrefs - 1 do
+      for t = 0 to w - 1 do
+        ignore (get t r)
+      done;
+      for t = n - w to n - 1 do
+        ignore (get t r)
+      done;
+      sum_range r 0 w;
+      sum_range r (n - w) n;
+      (* Per-reference period ladder: the smallest p whose pattern the full
+         [2*pi] verified span exhibits (that span length is what makes the
+         extrapolation sound, see above).  The suffix-head check is belt
+         and braces against an underestimated reach. *)
+      let rec find p =
+        if p > pi then None
+        else if
+          matches_pattern r ~anchor:w ~p (w - (2 * pi)) w
+          && matches_pattern r ~anchor:w ~p (n - w) (min n (n - w + (2 * p)))
+        then Some p
+        else find (p + 1)
+      in
+      match find 1 with
+      | Some p ->
+          Metrics.incr m_extrapolated;
+          extrapolate r ~anchor:w ~p ~lo:w ~hi:(n - w)
+      | None ->
+          (* Inconsistent windows (reach underestimate): classify this
+             reference (alone) exhaustively, keeping the census exact. *)
+          Metrics.incr m_ref_exhaustive;
+          sum_range r w (n - w)
+    done;
   { rc_m = m; rc_c = c }
 
 (* Row signature for the cross-row memo: two rows whose references start
@@ -344,6 +277,14 @@ type box_plan = {
   rows : int; (* product of outer entry counts *)
 }
 
+(* Rows of a box: the product of every entry's count but the innermost
+   one, which each row sweeps. *)
+let box_rows (box : Box.t) =
+  match List.rev box.Box.entries with
+  | [] -> 1
+  | _inner :: outers ->
+      List.fold_left (fun acc (e : Box.entry) -> acc * e.Box.count) 1 outers
+
 let plan_box forms modulus reuse_max_deltas (box : Box.t) =
   match List.rev box.Box.entries with
   | [] ->
@@ -368,9 +309,7 @@ let plan_box forms modulus reuse_max_deltas (box : Box.t) =
       let outer_caps =
         Array.map (fun e -> entry_period forms modulus e + reach + 4) outers
       in
-      let rows =
-        Array.fold_left (fun acc (e : Box.entry) -> acc * e.Box.count) 1 outers
-      in
+      let rows = box_rows box in
       { box; inner = Some inner; outers; pi; reach; outer_caps; rows }
 
 (* Minimal classification cost of one row of this plan (used by the
@@ -429,8 +368,7 @@ let census_walk_range ctx plan ~memo ~counts ~lo ~hi =
                 rc
             | None ->
                 let rc =
-                  row_counts ctx ~row_mode:`Census ~base ~inner ~pi:plan.pi
-                    ~reach:plan.reach
+                  row_counts ctx ~base ~inner ~pi:plan.pi ~reach:plan.reach
                 in
                 Hashtbl.replace memo key rc;
                 rc
@@ -451,240 +389,124 @@ let census_walk_range ctx plan ~memo ~counts ~lo ~hi =
 (* ------------------------------------------------------------------ *)
 (* Estimation drivers.                                                 *)
 
-let census_estimate ~budget ~domains engine plans ~nrefs ~forms ~modulus ~line
+let census_estimate ~budget ~domains engine plans ~nrefs ~forms ~modulus
     ~total_points =
-  (* Visiting a row costs real work (a signature and a memo probe) even
-     when its classification is shared, so a space whose row count alone
-     rivals the budget can never come in under it — refuse upfront
-     instead of grinding to the same answer. *)
-  let total_rows = List.fold_left (fun acc p -> acc + p.rows) 0 plans in
-  if total_rows > budget / 4 then Error `Budget
+  (* Second upfront guard (the first, on the raw row count, runs in
+     [estimate]), still before any classification: even with perfect memo
+     sharing, at least one row per distinct residue tuple must be
+     classified, and each costs at least its boundary windows (or the
+     whole row, when no coverable period exists).  The distinct-row count
+     is estimated per entry as min (count, residue period); entries that
+     move the same variables can overlap, so sharing-rich tiled nests may
+     be overestimated — the guard only refuses when even this floor
+     exceeds the budget, where grinding was hopeless anyway. *)
+  let min_cost =
+    List.fold_left
+      (fun acc p ->
+        let distinct =
+          Array.fold_left
+            (fun acc (e : Box.entry) ->
+              acc * min e.Box.count (entry_period forms modulus e))
+            1 p.outers
+        in
+        acc + (distinct * nrefs * plan_row_cost p))
+      0 plans
+  in
+  if min_cost > budget then Error `Budget
   else begin
-    (* Second upfront guard, still before any classification: even with
-       perfect memo sharing, at least one row per distinct residue tuple
-       must be classified, and each costs at least its boundary windows
-       (or the whole row, when no coverable period exists).  The
-       distinct-row count is estimated per entry as min (count, residue
-       period); entries that move the same variables can overlap, so
-       sharing-rich tiled nests may be overestimated — the guard only
-       refuses when even this floor exceeds the budget, where grinding
-       was hopeless anyway. *)
-    let min_cost =
-      List.fold_left
-        (fun acc p ->
-          let distinct =
-            Array.fold_left
-              (fun acc (e : Box.entry) ->
-                acc * min e.Box.count (entry_period forms modulus e))
-              1 p.outers
-          in
-          acc + (distinct * nrefs * plan_row_cost p))
-        0 plans
+    let nest = Engine.nest engine in
+    let cache = Engine.cache engine in
+    let shared_budget = Atomic.make budget in
+    let main_ctx = { engine; nrefs; forms; modulus; budget = shared_budget } in
+    let m = Array.make nrefs 0 and c = Array.make nrefs 0 in
+    let walk_box plan =
+      let n0 =
+        if Array.length plan.outers = 0 then 1 else plan.outers.(0).Box.count
+      in
+      let want_parallel =
+        domains > 1 && n0 >= 2 && plan.rows >= parallel_min_rows
+      in
+      if not want_parallel then begin
+        let memo = Hashtbl.create 64 in
+        census_walk_range main_ctx plan ~memo ~counts:(m, c) ~lo:0 ~hi:n0
+      end
+      else begin
+        (* Parallel row walks: chunk the outermost entry over the pool.
+           Each chunk classifies with its own engine (engines keep private
+           memo tables and are not shared across domains) and its own memo
+           shard and accumulators; the shared budget is the only
+           cross-domain state.  Counts are integers, so merging in chunk
+           order makes the census byte-identical to the sequential walk
+           whenever the budget does not trip. *)
+        let nchunks = min n0 (domains * 4) in
+        let chunk_m = Array.init nchunks (fun _ -> Array.make nrefs 0) in
+        let chunk_c = Array.init nchunks (fun _ -> Array.make nrefs 0) in
+        let chunk_exn : exn option array = Array.make nchunks None in
+        Metrics.add m_parallel plan.rows;
+        Tiling_util.Pool.run ~helpers:(domains - 1) ~nchunks (fun i ->
+            try
+              let lo = i * n0 / nchunks and hi = (i + 1) * n0 / nchunks in
+              if lo < hi then begin
+                let eng = Engine.create nest cache in
+                let ctx =
+                  {
+                    engine = eng;
+                    nrefs;
+                    forms;
+                    modulus;
+                    budget = shared_budget;
+                  }
+                in
+                let memo = Hashtbl.create 64 in
+                census_walk_range ctx plan ~memo
+                  ~counts:(chunk_m.(i), chunk_c.(i))
+                  ~lo ~hi
+              end
+            with e -> chunk_exn.(i) <- Some e);
+        Array.iter (function Some e -> raise e | None -> ()) chunk_exn;
+        for i = 0 to nchunks - 1 do
+          add_row_counts ~into:(m, c) { rc_m = chunk_m.(i); rc_c = chunk_c.(i) }
+        done
+      end
     in
-    if min_cost > budget then Error `Budget
-    else begin
-      let nest = Engine.nest engine in
-      let cache = Engine.cache engine in
-      let shared_budget = Atomic.make budget in
-      let main_ctx =
-        { engine; nrefs; forms; modulus; line; budget = shared_budget }
-      in
-      let m = Array.make nrefs 0 and c = Array.make nrefs 0 in
-      let walk_box plan =
-        let n0 =
-          if Array.length plan.outers = 0 then 1
-          else plan.outers.(0).Box.count
+    match List.iter walk_box plans with
+    | () ->
+        let per_ref =
+          Array.init nrefs (fun r ->
+              {
+                Estimator.r_accesses = total_points;
+                r_misses = m.(r);
+                r_compulsory = c.(r);
+              })
         in
-        let want_parallel =
-          domains > 1 && n0 >= 2 && plan.rows >= parallel_min_rows
-        in
-        if not want_parallel then begin
-          let memo = Hashtbl.create 64 in
-          census_walk_range main_ctx plan ~memo ~counts:(m, c) ~lo:0 ~hi:n0
-        end
-        else begin
-          (* Parallel row walks: chunk the outermost entry over the pool.
-             Each chunk classifies with its own engine (engines keep
-             private memo tables and are not shared across domains) and
-             its own memo shard and accumulators; the shared budget is the
-             only cross-domain state.  Counts are integers, so merging in
-             chunk order makes the census byte-identical to the
-             sequential walk whenever the budget does not trip. *)
-          let nchunks = min n0 (domains * 4) in
-          let chunk_m = Array.init nchunks (fun _ -> Array.make nrefs 0) in
-          let chunk_c = Array.init nchunks (fun _ -> Array.make nrefs 0) in
-          let chunk_exn : exn option array = Array.make nchunks None in
-          Metrics.add m_parallel plan.rows;
-          Tiling_util.Pool.run ~helpers:(domains - 1) ~nchunks (fun i ->
-              try
-                let lo = i * n0 / nchunks and hi = (i + 1) * n0 / nchunks in
-                if lo < hi then begin
-                  let eng = Engine.create nest cache in
-                  let ctx =
-                    {
-                      engine = eng;
-                      nrefs;
-                      forms;
-                      modulus;
-                      line;
-                      budget = shared_budget;
-                    }
-                  in
-                  let memo = Hashtbl.create 64 in
-                  census_walk_range ctx plan ~memo
-                    ~counts:(chunk_m.(i), chunk_c.(i))
-                    ~lo ~hi
-                end
-              with e -> chunk_exn.(i) <- Some e);
-          Array.iter (function Some e -> raise e | None -> ()) chunk_exn;
-          for i = 0 to nchunks - 1 do
-            add_row_counts ~into:(m, c)
-              { rc_m = chunk_m.(i); rc_c = chunk_c.(i) }
-          done
-        end
-      in
-      match List.iter walk_box plans with
-      | () ->
-          let per_ref =
-            Array.init nrefs (fun r ->
-                {
-                  Estimator.r_accesses = total_points;
-                  r_misses = m.(r);
-                  r_compulsory = c.(r);
-                })
-          in
-          Ok (Estimator.census_report ~points:total_points ~per_ref)
-      | exception Out_of_budget -> Error `Budget
-    end
+        Ok (Estimator.census_report ~points:total_points ~per_ref)
+    | exception Out_of_budget -> Error `Budget
   end
 
-let bounded_estimate ~budget engine plans ~nrefs ~forms ~modulus ~line
-    ~total_points =
-  (* The bounded mode never refuses for cost: its work is structurally
-     bounded (a handful of probe rows, each classifying a short prefix),
-     so the internal budget is effectively unlimited. *)
-  let ctx =
-    { engine; nrefs; forms; modulus; line; budget = Atomic.make max_int }
-  in
-  let k_total = max 1 (min 16 (budget / 75_000)) in
-  let m = Array.make nrefs 0 and c = Array.make nrefs 0 in
-  (* Boxes carrying a sliver of the space (partial-tile remainders) are
-     not worth their own probe rows: they are handled in a second pass by
-     applying the per-reference miss rates observed on the probed boxes.
-     Points covered by real walks in the first pass are tracked so the
-     rates have a denominator. *)
-  let sliver_cutoff =
-    (* Only spaces big enough that exactness was never on the table get
-       the sliver shortcut; small spaces walk every box for real. *)
-    if total_points > 65_536 then total_points / 16 else 0
-  in
-  let covered = ref 0 in
-  let slivers = ref [] in
-  let walk_plan plan =
-    let points = Box.points plan.box in
-    covered := !covered + points;
-    match plan.inner with
-    | None ->
-        Metrics.incr m_rows;
-        classify_point ctx plan.box.Box.origin (m, c)
-    | Some inner ->
-        if points <= bounded_exact_points && plan.rows <= bounded_exact_rows
-        then begin
-          (* Small boxes are censused exactly, so the backend stays
-             equal to cme-exact on every test-sized kernel. *)
-          let memo = Hashtbl.create 64 in
-          let n0 =
-            if Array.length plan.outers = 0 then 1
-            else plan.outers.(0).Box.count
-          in
-          census_walk_range ctx plan ~memo ~counts:(m, c) ~lo:0 ~hi:n0
-        end
-        else begin
-          (* Stratified diagonal probe rows: probe [i] pins every outer
-             counter to the midpoint of its [i]-th stratum, so a few
-             rows sweep the interior of every outer dimension at once.
-             Each probe stands for an equal share of the box's rows; the
-             remainder rows go to the earliest probes, keeping the
-             weights (and the estimate) deterministic. *)
-          let kb =
-            max 1 (min plan.rows (k_total * points / max 1 total_points))
-          in
-          let nout = Array.length plan.outers in
-          for i = 0 to kb - 1 do
-            Metrics.incr m_rows;
-            Metrics.incr m_probed;
-            let ts =
-              Array.init nout (fun j ->
-                  let n = plan.outers.(j).Box.count in
-                  ((2 * i) + 1) * n / (2 * kb))
-            in
-            let base = base_of plan ts in
-            let rc =
-              row_counts ctx ~row_mode:`Probe ~base ~inner ~pi:plan.pi
-                ~reach:plan.reach
-            in
-            let occ =
-              (plan.rows / kb) + (if i < plan.rows mod kb then 1 else 0)
-            in
-            add_row_counts_scaled ~into:(m, c) rc occ
-          done
-        end
-  in
-  List.iter
-    (fun plan ->
-      let points = Box.points plan.box in
-      if points < sliver_cutoff then slivers := (plan, points) :: !slivers
-      else walk_plan plan)
-    plans;
-  (match !slivers with
-  | [] -> ()
-  | slivers ->
-      if !covered = 0 then
-        (* Nothing big enough to probe (a space made only of slivers):
-           walk them all for real. *)
-        List.iter (fun (plan, _) -> walk_plan plan) slivers
-      else begin
-        let rep = !covered in
-        let base_m = Array.copy m and base_c = Array.copy c in
-        List.iter
-          (fun (_, points) ->
-            for r = 0 to nrefs - 1 do
-              m.(r) <- m.(r) + (((base_m.(r) * points) + (rep / 2)) / rep);
-              c.(r) <- c.(r) + (((base_c.(r) * points) + (rep / 2)) / rep)
-            done)
-          slivers
-      end);
-  let per_ref =
-    Array.init nrefs (fun r ->
-        {
-          Estimator.r_accesses = total_points;
-          r_misses = m.(r);
-          r_compulsory = c.(r);
-        })
-  in
-  Ok (Estimator.census_report ~points:total_points ~per_ref)
-
-let estimate ?(budget = 2_000_000) ?(mode = Census) ?(domains = 1) engine =
+let estimate ?(budget = 2_000_000) ?(domains = 1) engine =
   let nest = Engine.nest engine in
   let cache = Engine.cache engine in
   if Nest.has_affine nest then Error `Affine
   else begin
-    let nrefs = Array.length nest.Nest.refs in
-    let forms = Array.map (Nest.address_form nest) nest.Nest.refs in
-    let line = cache.Tiling_cache.Config.line in
-    let modulus = cache.Tiling_cache.Config.sets * line in
-    let reuse = Tiling_reuse.Vectors.of_nest nest ~line in
-    let reuse_max_deltas = max_deltas (Nest.depth nest) reuse in
     let boxes = Path.full_space nest in
-    let plans = List.map (plan_box forms modulus reuse_max_deltas) boxes in
-    let total_points =
-      List.fold_left (fun acc b -> acc + Box.points b) 0 boxes
-    in
-    match mode with
-    | Census ->
-        census_estimate ~budget ~domains engine plans ~nrefs ~forms ~modulus
-          ~line ~total_points
-    | Bounded ->
-        bounded_estimate ~budget engine plans ~nrefs ~forms ~modulus ~line
-          ~total_points
+    (* First upfront guard, before reuse analysis and box planning: visiting
+       a row costs real work (a signature and a memo probe) even when its
+       classification is shared, so a space whose row count alone rivals
+       the budget can never come in under it. *)
+    let total_rows = List.fold_left (fun acc b -> acc + box_rows b) 0 boxes in
+    if total_rows > budget / 4 then Error `Budget
+    else begin
+      let nrefs = Array.length nest.Nest.refs in
+      let forms = Array.map (Nest.address_form nest) nest.Nest.refs in
+      let line = cache.Tiling_cache.Config.line in
+      let modulus = cache.Tiling_cache.Config.sets * line in
+      let reuse = Tiling_reuse.Vectors.of_nest nest ~line in
+      let reuse_max_deltas = max_deltas (Nest.depth nest) reuse in
+      let plans = List.map (plan_box forms modulus reuse_max_deltas) boxes in
+      let total_points =
+        List.fold_left (fun acc b -> acc + Box.points b) 0 boxes
+      in
+      census_estimate ~budget ~domains engine plans ~nrefs ~forms ~modulus
+        ~total_points
+    end
   end

@@ -105,19 +105,6 @@ let exact engine =
       classify_all engine ~interval:census_interval (fun visit ->
           Tiling_ir.Nest.iter_points (Engine.nest engine) visit))
 
-let exact_by_region engine =
-  Tiling_obs.Span.with_ "cme.estimator.exact_by_region"
-    ~attrs:
-      [ ("nest", Tiling_obs.Json.String (Engine.nest engine).Tiling_ir.Nest.name) ]
-    (fun () ->
-      let regions = Path.full_space (Engine.nest engine) in
-      List.map
-        (fun box ->
-          ( box,
-            classify_all engine ~interval:census_interval (fun visit ->
-                Box.iter_points box visit) ))
-        regions)
-
 let sample_at ?(confidence = default_confidence) engine pts =
   Tiling_obs.Span.with_ "cme.estimator.sample_at"
     ~attrs:[ ("points", Tiling_obs.Json.Int (Array.length pts)) ]

@@ -27,13 +27,6 @@ val replacement : report -> int
 val exact : Engine.t -> report
 (** Classify every access of the nest. *)
 
-val exact_by_region : Engine.t -> (Box.t * report) list
-(** Like {!exact}, but one report per convex region of the iteration space
-    (the path slicer's [full_space] decomposition, which pins dimensions
-    that affine bounds depend on pointwise).  The regions partition the
-    space, so the per-region counts sum to {!exact}'s totals; triangular
-    nests expose per-region cost this way (section 2.3). *)
-
 val sample : ?width:float -> ?confidence:float -> seed:int -> Engine.t -> report
 (** Paper defaults: [width = 0.1], [confidence = 0.9] (164 points).  The
     sample size and the reported intervals both honour the requested

@@ -255,9 +255,6 @@ let collect walk =
 
 let between nest ~src ~dst = collect (walk_between (plan nest) ~src ~dst ~rev:false)
 
-let boxes_with_bounded_dim nest ~prefix ~level ~iv_lo ~iv_hi =
-  collect (walk_bounded_dim (plan nest) ~prefix ~level ~iv_lo ~iv_hi ~rev:false)
-
 let full_space nest =
   let p = plan nest in
   collect (fun f x -> dims p ~rev:false f x 0)

@@ -16,8 +16,7 @@
     in execution order of their slices; the reverse walk visits every
     fork's children last first and so yields exactly the reverse sequence.
     The callback stops a walk early by answering [false].  The list
-    functions {!between}, {!boxes_with_bounded_dim} and {!full_space}
-    collect a forward walk. *)
+    functions {!between} and {!full_space} collect a forward walk. *)
 
 type plan
 (** What the walk needs of a nest, computed once (which dimensions affine
@@ -63,15 +62,6 @@ val walk_bounded_dim :
 val between : Tiling_ir.Nest.t -> src:int array -> dst:int array -> Box.t list
 (** The boxes of {!walk_between}, forward.  Returns disjoint non-empty
     boxes. *)
-
-val boxes_with_bounded_dim :
-  Tiling_ir.Nest.t ->
-  prefix:int array ->
-  level:int ->
-  iv_lo:int ->
-  iv_hi:int ->
-  Box.t list
-(** The boxes of {!walk_bounded_dim}, forward. *)
 
 val full_space : Tiling_ir.Nest.t -> Box.t list
 (** The whole iteration space as boxes (one per convex region). *)

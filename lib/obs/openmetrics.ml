@@ -28,7 +28,6 @@ let inventory =
     ("symbolic.rows.extrapolated", "References whose row middle was extrapolated from a validated period");
     ("symbolic.rows.memo.hit", "Rows answered from the row-signature memo");
     ("symbolic.rows.parallel", "Rows walked by pool-parallel census chunks");
-    ("symbolic.rows.probed", "Stratified probe rows classified by the bounded mode");
     ("symbolic.rows.ref_exhaustive", "References classified exhaustively after a failed period validation");
     (* ga.* — genetic algorithm engine *)
     ("ga.evaluations", "Objective evaluations performed by the GA");

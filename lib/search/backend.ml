@@ -35,24 +35,20 @@ let sim =
 
 let m_fallbacks = Tiling_obs.Metrics.counter "symbolic.fallbacks"
 
-(* Fallback sampling is the symbolic backend's last resort (affine-coupled
-   nests); cap its point count so a fallback candidate costs a bounded
-   number of classifications, like every other symbolic evaluation. *)
-let fallback_sample_cap = 64
-
 let symbolic =
   {
     name = "symbolic";
     cost =
       (fun cache nest ~points ->
         let engine = Tiling_cme.Engine.create nest cache in
-        (* A search evaluates hundreds of candidates, so per-candidate
-           latency must stay bounded: the bounded mode spends a fixed
-           number of probe rows per evaluation (scaled by the budget)
-           instead of refusing like the oracle-grade census. *)
+        let nrefs = Array.length nest.Tiling_ir.Nest.refs in
+        (* The census may spend what classifying the embedded sample would,
+           so a candidate never costs much more than under cme-sample: the
+           answer is exact where the census fits, else the sample's. *)
         match
-          Tiling_cme.Closed_form.estimate ~budget:150_000
-            ~mode:Tiling_cme.Closed_form.Bounded engine
+          Tiling_cme.Closed_form.estimate
+            ~budget:(Array.length points * nrefs)
+            engine
         with
         | Ok report ->
             float_of_int (Tiling_cme.Estimator.replacement report)
@@ -62,21 +58,14 @@ let symbolic =
                 m "symbolic backend falling back to sampling (%a) on %s"
                   Tiling_cme.Closed_form.pp_reason reason
                   nest.Tiling_ir.Nest.name);
-            let points =
-              if Array.length points > fallback_sample_cap then
-                Array.sub points 0 fallback_sample_cap
-              else points
-            in
             let report = Tiling_cme.Estimator.sample_at engine points in
-            (* The closed form reports whole-space counts; keep fallback
+            (* The census reports whole-space counts; keep fallback
                candidates on the same scale so one search never compares
                sampled against census magnitudes. *)
             let scale =
               if report.Tiling_cme.Estimator.accesses = 0 then 0.
               else
-                float_of_int
-                  (Tiling_ir.Nest.trip_count nest
-                  * Array.length nest.Tiling_ir.Nest.refs)
+                float_of_int (Tiling_ir.Nest.trip_count nest * nrefs)
                 /. float_of_int report.Tiling_cme.Estimator.accesses
             in
             float_of_int (Tiling_cme.Estimator.replacement report) *. scale);

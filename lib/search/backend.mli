@@ -11,7 +11,12 @@
     A backend receives the *prepared* candidate: the nest after tiling /
     padding / interchange has been applied, plus the common iteration-point
     sample embedded into that nest's coordinates.  Preparing candidates is
-    the strategy's job (see {!Eval}); costing them is the backend's. *)
+    the strategy's job (see {!Eval}); costing them is the backend's.
+
+    Every answer is exact or sampled: [cme-exact] and [sim] count every
+    access, [cme-sample] classifies the embedded sample, and [symbolic]
+    answers each candidate with an exact census where that costs no more
+    than the sample, else with the sample. *)
 
 type t = {
   name : string;  (** CLI / report identifier, e.g. ["cme-sample"] *)
@@ -40,13 +45,15 @@ val sim : t
     Name: ["sim"]. *)
 
 val symbolic : t
-(** Closed-form CME aggregation ({!Tiling_cme.Closed_form.estimate}):
-    whole-space replacement counts from boundary-window classification plus
-    periodic extrapolation — census accuracy without census cost.  Nests the
-    closed form refuses (affine-coupled bounds, budget blowout) fall back to
-    the embedded sample, scaled to whole-space magnitude so objectives stay
-    comparable within one search; each fallback increments the
-    [symbolic.fallbacks] metric.  Name: ["symbolic"]. *)
+(** Closed-form CME census ({!Tiling_cme.Closed_form.estimate}) under the
+    embedded sample's cost: the census may spend [points × refs]
+    classifications, what {!cme_sample} spends on the candidate.  Where it
+    fits, the answer is the exact whole-space replacement count; where it
+    refuses (affine-coupled bounds, or a census dearer than the sample),
+    the whole embedded sample is classified and its count scaled to
+    whole-space magnitude, so objectives stay comparable within one
+    search, and the [symbolic.fallbacks] metric counts one.  Every answer
+    is thus exact or sampled.  Name: ["symbolic"]. *)
 
 val default : t
 (** [cme_sample]. *)

@@ -1,7 +1,8 @@
 (* The closed-form aggregator must be a census: identical totals to
    Estimator.exact wherever it accepts, refusal (never silent degradation)
    where its periodicity premises fail.  The backend built on it must agree
-   with cme-exact and the simulator on the rectangular rotation kernels. *)
+   with cme-exact where the sample's budget fits the census, and answer
+   with the scaled sample where it does not. *)
 
 open Tiling_cme
 
@@ -102,24 +103,61 @@ let test_backend_registered () =
     (List.mem "symbolic" Tiling_search.Backend.names)
 
 let test_backend_matches_exact () =
-  (* Rectangular rotation kernels at 2 geometries x 3 tilings: the symbolic
-     backend's objective equals cme-exact's (both whole-space censuses). *)
+  (* The symbolic backend's census may spend what classifying the embedded
+     sample would.  Given every point of the space, that is the whole
+     census: the objective equals cme-exact's, with no fallback.  Given a
+     164-point subset, the census does not fit: the backend falls back once
+     and answers with the subset's count scaled to the whole space. *)
   let symbolic = Tiling_search.Backend.symbolic in
   let exact = Tiling_search.Backend.cme_exact in
+  let fallbacks = Tiling_obs.Metrics.counter "symbolic.fallbacks" in
+  Tiling_obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tiling_obs.Metrics.set_enabled false)
+  @@ fun () ->
   List.iter
-    (fun (_, cache) ->
+    (fun (cname, cache) ->
       List.iter
         (fun tiles ->
           let nest =
             Tiling_ir.Transform.tile (Tiling_kernels.Kernels.t2d 16) tiles
           in
-          let cs = symbolic.Tiling_search.Backend.cost cache nest ~points:[||] in
+          let label =
+            Printf.sprintf "t2d16[%d,%d]/%s" tiles.(0) tiles.(1) cname
+          in
+          let all = ref [] in
+          Tiling_ir.Nest.iter_points nest (fun p ->
+              all := Array.copy p :: !all);
+          let all = Array.of_list (List.rev !all) in
+          let cost points =
+            let fb0 = Tiling_obs.Metrics.counter_value fallbacks in
+            let c = symbolic.Tiling_search.Backend.cost cache nest ~points in
+            (c, Tiling_obs.Metrics.counter_value fallbacks - fb0)
+          in
+          let cs, fb = cost all in
           let ce = exact.Tiling_search.Backend.cost cache nest ~points:[||] in
+          Alcotest.(check (float 0.0)) (label ^ ": every point, exact") ce cs;
+          Alcotest.(check int) (label ^ ": every point, no fallback") 0 fb;
+          let subset = Array.sub all 0 164 in
+          let cs, fb = cost subset in
+          let sampled =
+            Estimator.sample_at (Engine.create nest cache) subset
+          in
+          let scaled =
+            float_of_int (Estimator.replacement sampled)
+            *. (float_of_int
+                  (Tiling_ir.Nest.trip_count nest
+                  * Array.length nest.Tiling_ir.Nest.refs)
+               /. float_of_int sampled.Estimator.accesses)
+          in
           Alcotest.(check (float 0.0))
-            (Printf.sprintf "t2d16[%d,%d]" tiles.(0) tiles.(1))
-            ce cs)
+            (label ^ ": 164 points, scaled")
+            scaled cs;
+          Alcotest.(check int) (label ^ ": 164 points, one fallback") 1 fb)
         [ [| 4; 4 |]; [| 8; 2 |]; [| 5; 7 |] ])
-    geometries
+    [
+      ("dm512", Tiling_cache.Config.make ~size:512 ~line:32 ());
+      ("2-way 1k", Tiling_cache.Config.make ~size:1024 ~line:32 ~assoc:2 ());
+    ]
 
 let test_backend_fallback_on_triangular () =
   (* On a triangular nest the backend must fall back to sampling (finite
@@ -170,12 +208,12 @@ let candidate_batches ~spans ~batches ~batch_size ~seed =
 let test_backend_eval_gates () =
   (* The symbolic backend behind the evaluation service: fresh candidates
      on 1 and 4 domains, with the shared residue cache cold and then warm.
-     The bounded mode refuses only affine nests, so rectangular MM must
-     never fall back to sampling, at the 1 KB modulus as well as at 8 KB;
-     LU 100 falls back on every candidate.  Each evaluation here takes
-     about a millisecond or less, so the per-evaluation bounds catch a
-     refusal or probe-budget regression (a 100-1000x blow-up), not machine
-     noise. *)
+     The census may spend what the 32-point sample would, and no census of
+     these spaces fits that: every candidate falls back to the sample, on
+     rectangular MM at the 1 KB modulus and at 8 KB as on affine LU 100,
+     and each refusal is decided upfront.  Each evaluation here takes about
+     a millisecond or less, so the per-evaluation bounds catch a refusal
+     that grinds (a 100-1000x blow-up), not machine noise. *)
   let seed = 20020815 in
   let fallbacks = Tiling_obs.Metrics.counter "symbolic.fallbacks" in
   Tiling_obs.Metrics.set_enabled true;
@@ -216,11 +254,10 @@ let test_backend_eval_gates () =
               let wall = Unix.gettimeofday () -. t0 in
               let evals = Tiling_search.Eval.fresh eval in
               Alcotest.(check int) (label ^ ": fresh evaluations") 8 evals;
-              if kernel = "MM" then
-                Alcotest.(check int)
-                  (label ^ ": symbolic.fallbacks added")
-                  0
-                  (Tiling_obs.Metrics.counter_value fallbacks - fb0);
+              Alcotest.(check int)
+                (label ^ ": symbolic.fallbacks added")
+                8
+                (Tiling_obs.Metrics.counter_value fallbacks - fb0);
               let per_eval = wall /. float_of_int evals in
               let bound = if kernel = "LU" then 0.25 else 0.10 in
               if per_eval > bound then
@@ -322,8 +359,8 @@ let suite =
       test_backend_matches_exact;
     Alcotest.test_case "backend falls back on triangular" `Quick
       test_backend_fallback_on_triangular;
-    Alcotest.test_case "backend eval: no MM fallback, per-eval bound" `Quick
-      test_backend_eval_gates;
+    Alcotest.test_case "backend eval: every row falls back, per-eval bound"
+      `Quick test_backend_eval_gates;
     Alcotest.test_case "entry reach pinned" `Quick test_entry_reach_pinned;
     Alcotest.test_case "census = exact at dm8k, no fallback" `Slow
       test_census_dm8k_matches_exact;

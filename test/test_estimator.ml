@@ -76,29 +76,6 @@ let test_exact_equals_simulator_aggregate () =
   Alcotest.(check int) "misses equal"
     sim.Tiling_trace.Run.total.Tiling_cache.Sim.misses est.Estimator.misses
 
-let test_exact_by_region_sums_to_exact () =
-  (* The regions partition the iteration space, so the per-region reports
-     must sum to the whole-space census — on a triangular kernel, where the
-     decomposition is nontrivial (one region per pinned outer value). *)
-  let cache = Tiling_cache.Config.make ~size:512 ~line:32 () in
-  List.iter
-    (fun (name, nest) ->
-      let engine = Engine.create nest cache in
-      let whole = Estimator.exact engine in
-      let parts = Estimator.exact_by_region engine in
-      let sum f = List.fold_left (fun s (_, r) -> s + f r) 0 parts in
-      Alcotest.(check int) (name ^ ": points") whole.Estimator.points
-        (sum (fun r -> r.Estimator.points));
-      Alcotest.(check int) (name ^ ": misses") whole.Estimator.misses
-        (sum (fun r -> r.Estimator.misses));
-      Alcotest.(check int) (name ^ ": compulsory") whole.Estimator.compulsory
-        (sum (fun r -> r.Estimator.compulsory)))
-    [
-      ("lu", Tiling_kernels.Kernels.lu 9);
-      ("cholesky", Tiling_kernels.Kernels.cholesky 9);
-      ("mm", Tiling_kernels.Kernels.mm 8);
-    ]
-
 let suite =
   [
     Alcotest.test_case "default points = 164" `Quick test_default_points;
@@ -110,8 +87,6 @@ let suite =
     Alcotest.test_case "sample at given points" `Quick test_sample_at_given_points;
     Alcotest.test_case "exact equals simulator" `Quick
       test_exact_equals_simulator_aggregate;
-    Alcotest.test_case "exact-by-region sums to exact" `Quick
-      test_exact_by_region_sums_to_exact;
   ]
 
 let test_per_ref_sums () =

@@ -409,6 +409,11 @@ let call_ok client ~meth ~params =
             (Protocol.code_to_string e.Protocol.code)
             e.Protocol.message)
 
+(* Ask the daemon behind [client] to stop, ignoring every error: it may
+   already be draining or gone. *)
+let shutdown_client client =
+  try ignore (Client.call client ~meth:"shutdown" ~params:[]) with _ -> ()
+
 let strip_id = function
   | Json.Obj fields -> Json.Obj (List.filter (fun (k, _) -> k <> "id") fields)
   | other -> other
@@ -432,6 +437,9 @@ let test_client_pipelining () =
   let client = connect sock in
   Fun.protect
     ~finally:(fun () ->
+      (* a failed assertion skips the body's shutdown: send one here, or
+         [Thread.join server] never returns *)
+      shutdown_client client;
       Client.close client;
       Thread.join server)
   @@ fun () ->
@@ -495,6 +503,7 @@ let test_daemon_coalescing_e2e () =
   let client = connect sock in
   Fun.protect
     ~finally:(fun () ->
+      shutdown_client client;
       Client.close client;
       Thread.join server;
       rm_store store)
@@ -578,7 +587,7 @@ let shutdown_quietly sock =
   match Client.connect (Netio.Unix_sock sock) with
   | Error _ -> ()
   | Ok c ->
-      (try ignore (Client.call c ~meth:"shutdown" ~params:[]) with _ -> ());
+      shutdown_client c;
       Client.close c
 
 let spawn_worker ~sock ~store =
@@ -933,8 +942,7 @@ let test_cli_request_retries () =
     ~finally:(fun () ->
       (* shutdown here, not in the body: an assertion failure above must
          still drain the daemon or [Thread.join server] never returns *)
-      (try ignore (Client.call client ~meth:"shutdown" ~params:[])
-       with _ -> ());
+      shutdown_client client;
       List.iter Thread.join !blockers;
       Client.close client;
       Thread.join server)

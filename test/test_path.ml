@@ -64,6 +64,25 @@ let test_full_space () =
       Tiling_kernels.Kernels.jacobi3d 6;
     ]
 
+let test_full_space_partitions () =
+  (* The boxes partition the iteration space: walking every box's points
+     visits each point of the nest exactly once — on triangular kernels,
+     where the decomposition pins a dimension per value, and tiled. *)
+  List.iter
+    (fun nest ->
+      let want = ref [] in
+      Nest.iter_points nest (fun p -> want := Array.to_list p :: !want);
+      let got = boxes_points (Path.full_space nest) in
+      if got <> List.sort compare !want then
+        Alcotest.failf "%s: the boxes visit %d points, the nest has %d"
+          nest.Nest.name (List.length got) (List.length !want))
+    [
+      Tiling_kernels.Kernels.lu 9;
+      Tiling_kernels.Kernels.cholesky 9;
+      Tiling_kernels.Kernels.mm 8;
+      Transform.tile (Tiling_kernels.Kernels.lu 9) [| 4; 2; 3 |];
+    ]
+
 let test_full_space_region_count () =
   (* Section 2.4: one convex region per combination of full/partial tiles. *)
   let nest = Tiling_kernels.Kernels.mm 10 in
@@ -95,6 +114,8 @@ let suite =
     Alcotest.test_case "between on plain nests" `Quick test_between_plain;
     Alcotest.test_case "between on tiled nests" `Quick test_between_tiled;
     Alcotest.test_case "full space covers trip count" `Quick test_full_space;
+    Alcotest.test_case "full space visits each point once" `Quick
+      test_full_space_partitions;
     Alcotest.test_case "convex region count" `Quick test_full_space_region_count;
     qcheck prop_between_random_tiled;
   ]

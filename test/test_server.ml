@@ -380,6 +380,11 @@ let call_ok client ~meth ~params =
             (Protocol.code_to_string e.Protocol.code)
             e.Protocol.message)
 
+(* Ask the daemon behind [client] to stop, ignoring every error: it may
+   already be draining or gone. *)
+let shutdown_client client =
+  try ignore (Client.call client ~meth:"shutdown" ~params:[]) with _ -> ()
+
 let call_err client ~meth ~params =
   match Client.call client ~meth ~params with
   | Error m -> Alcotest.failf "%s: transport error: %s" meth m
@@ -415,6 +420,9 @@ let test_end_to_end () =
   in
   Fun.protect
     ~finally:(fun () ->
+      (* a failed assertion skips the body's shutdown: send one here, or
+         [Thread.join server] never returns *)
+      shutdown_client client;
       Client.close client;
       Thread.join server;
       if Sys.file_exists store then Sys.remove store)
@@ -630,6 +638,9 @@ let test_telemetry_end_to_end () =
   in
   Fun.protect
     ~finally:(fun () ->
+      (* a failed assertion skips the body's shutdown: send one here, or
+         [Thread.join server] never returns *)
+      shutdown_client client;
       Client.close client;
       Thread.join server;
       if Sys.file_exists store then Sys.remove store)
